@@ -111,11 +111,22 @@ let check_cut ~value ~witness (c : Certificate.cut) =
       (List.sort compare (List.map fst c.weights) = List.sort compare (List.map snd c.fact_edges))
       "cut: weights domain differs from the mapped facts"
   in
+  (* Lookup indexes, built only now: the [distinct] checks above make
+     every key unique, so each lookup answers what a first-match
+     [List.assoc_opt] / [List.mem] would. *)
+  let index pairs =
+    let tbl = Hashtbl.create (List.length pairs) in
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) pairs;
+    tbl
+  in
+  let weight_of = index c.weights in
+  let fact_of_edge = index c.fact_edges in
+  let mapped_facts = index (List.map (fun (e, fid) -> (fid, e)) c.fact_edges) in
   let* () =
     iter_result
       (fun (e, fid) ->
         let _, _, cap = edges.(e) in
-        match (cap, List.assoc_opt fid c.weights) with
+        match (cap, Hashtbl.find_opt weight_of fid) with
         | Certificate.Fin w, Some w' when w = w' -> Ok ()
         | Certificate.Fin w, Some w' ->
             fail "cut: fact %d edge capacity %d differs from its weight %d" fid w w'
@@ -129,12 +140,12 @@ let check_cut ~value ~witness (c : Certificate.cut) =
       (c.weights @ c.forced)
   in
   let* () = require (distinct (List.map fst c.forced)) "cut: duplicate forced fact" in
-  let mapped_facts = List.map snd c.fact_edges in
   let* () =
     iter_result
       (fun (fid, _) ->
-        require (not (List.mem fid mapped_facts)) "cut: forced fact %d also appears in the network"
-          fid)
+        require
+          (not (Hashtbl.mem mapped_facts fid))
+          "cut: forced fact %d also appears in the network" fid)
       c.forced
   in
   let base = List.fold_left (fun acc (_, w) -> acc + w) 0 c.forced in
@@ -261,7 +272,7 @@ let check_cut ~value ~witness (c : Certificate.cut) =
         List.fold_left
           (fun acc e ->
             let* acc = acc in
-            match List.assoc_opt e c.fact_edges with
+            match Hashtbl.find_opt fact_of_edge e with
             | Some fid -> Ok (fid :: acc)
             | None -> fail "cut: cut edge %d is not a fact edge" e)
           (Ok []) c.cut_edges

@@ -183,7 +183,9 @@ let solve_words_gen d ws =
        database no longer answers for removed facts. *)
     let forced_w = List.map (fun fid -> (fid, Db.mult d fid)) forced in
     let base_cost = List.fold_left (fun acc fid -> acc + Db.mult d fid) 0 forced in
-    let d = Db.restrict d ~removed:(fun id -> List.mem id forced) in
+    let is_forced = Array.make (Db.fact_count d) false in
+    List.iter (fun fid -> is_forced.(fid) <- true) forced;
+    let d = Db.restrict d ~removed:(fun id -> is_forced.(id)) in
     let ws = List.filter (fun w -> String.length w >= 2) ws in
     match endpoint_bipartition ws with
     | None -> invalid_arg "Bcl.solve: endpoint graph is not bipartite"
@@ -212,7 +214,10 @@ let solve_words_gen d ws =
           List.filter (fun (_, (f : Db.fact)) -> f.Db.label = c) (Db.facts d)
         in
         (* Structural +∞ edges: consecutive letter pairs of each word,
-           oriented according to the word's direction. *)
+           oriented according to the word's direction. The b-facts joining
+           an a-fact f are the b-labelled out-edges of f's target; both
+           lists are in fact-id order, which fixes the edge ids and hence
+           the certificate bytes. *)
         let is_forward w = side w.[0] = Some 0 in
         List.iter
           (fun w ->
@@ -223,7 +228,7 @@ let solve_words_gen d ws =
                 (fun (fid, (f : Db.fact)) ->
                   List.iter
                     (fun (gid, (g : Db.fact)) ->
-                      if f.Db.dst = g.Db.src then
+                      if g.Db.label = b then
                         if fwd then
                           ignore
                             (Net.add_edge net ~src:(vertex_of endv fid)
@@ -232,7 +237,7 @@ let solve_words_gen d ws =
                           ignore
                             (Net.add_edge net ~src:(vertex_of endv gid)
                                ~dst:(vertex_of startv fid) Net.Inf))
-                    (facts_with_label b))
+                    (Db.out_edges d f.Db.dst))
                 (facts_with_label a)
             done)
           ws;
@@ -253,9 +258,7 @@ let solve_words_gen d ws =
             Invariant.internal_error
               "Bcl.solve: infinite cut although cutting every fact edge disconnects the network"
         | Net.Finite v ->
-            let facts =
-              List.filter_map (fun eid -> List.assoc_opt eid !fact_edge) cut.Net.edges
-            in
+            let facts = Certify.cut_facts ~net ~fact_edge:!fact_edge cut.Net.edges in
             let cert () =
               Certify.cut ~net ~source ~sink ~cut ~flow ~fact_edge:!fact_edge
                 ~forced:forced_w

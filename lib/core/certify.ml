@@ -45,6 +45,13 @@ let inf_path net ~source ~sink =
     Some (back sink [])
   end
 
+let cut_facts ~net ~fact_edge eids =
+  let fact_of_edge = Array.make (Net.edge_count net) (-1) in
+  List.iter (fun (eid, fid) -> fact_of_edge.(eid) <- fid) fact_edge;
+  List.filter_map
+    (fun eid -> if fact_of_edge.(eid) >= 0 then Some fact_of_edge.(eid) else None)
+    eids
+
 let cut ~net ~source ~sink ~(cut : Net.cut) ~flow ~fact_edge ~forced =
   let edges = serialize_edges net in
   (* Fact weights restated from the network's own fact-edge capacities:

@@ -23,6 +23,12 @@ val cut :
     cut value is infinite, an all-Inf s-t path is recorded instead of
     cut edges. *)
 
+val cut_facts : net:Flow.Network.t -> fact_edge:(int * int) list -> int list -> int list
+(** [cut_facts ~net ~fact_edge eids]: the facts that the edges [eids]
+    stand for under the [(edge id, fact id)] mapping, in the order of
+    [eids]; edges mapped to no fact are skipped. Linear in the network:
+    the mapping is indexed by edge id once. *)
+
 val bounds :
   ?covers:int list list -> ?dual:float list -> Graphdb.Db.t -> Cert.Certificate.t
 (** Serialize a hitting-set certificate over [d]'s facts. [covers] lists

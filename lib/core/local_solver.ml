@@ -94,9 +94,7 @@ let solve_ro_gen d ~ro =
     match cut.Net.value with
     | Net.Inf -> (Value.Infinite, [], cert)
     | Net.Finite v ->
-        let facts =
-          List.filter_map (fun eid -> List.assoc_opt eid fact_edge) cut.Net.edges
-        in
+        let facts = Certify.cut_facts ~net ~fact_edge cut.Net.edges in
         (Value.Finite v, List.sort_uniq compare facts, cert)
   end
 

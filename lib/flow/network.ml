@@ -16,13 +16,15 @@ let pp_capacity ppf = function
   | Finite x -> Format.pp_print_int ppf x
   | Inf -> Format.pp_print_string ppf "+\xe2\x88\x9e"
 
+(* Edges live in a growable array indexed by edge id: [edges.(0 .. nedges-1)]
+   is the used prefix, the rest is spare capacity (doubled when full). *)
 type t = {
   mutable nvertices : int;
-  mutable edges : (int * int * capacity) list;  (* reversed order of insertion *)
+  mutable edges : (int * int * capacity) array;
   mutable nedges : int;
 }
 
-let create () = { nvertices = 0; edges = []; nedges = 0 }
+let create () = { nvertices = 0; edges = [||]; nedges = 0 }
 
 let add_vertex t =
   let v = t.nvertices in
@@ -33,8 +35,14 @@ let vertex_count t = t.nvertices
 
 let unsafe_add_edge t ~src ~dst cap =
   let id = t.nedges in
+  let e = (src, dst, cap) in
+  if id = Array.length t.edges then begin
+    let grown = Array.make (max 16 (2 * id)) e in
+    Array.blit t.edges 0 grown 0 id;
+    t.edges <- grown
+  end
+  else t.edges.(id) <- e;
   t.nedges <- id + 1;
-  t.edges <- (src, dst, cap) :: t.edges;
   id
 
 let add_edge t ~src ~dst cap =
@@ -46,14 +54,21 @@ let add_edge t ~src ~dst cap =
   unsafe_add_edge t ~src ~dst cap
 
 let edge_count t = t.nedges
-let edges_array t = Array.of_list (List.rev t.edges)
-let edge_info t id = (edges_array t).(id)
+
+let edge_info t id =
+  if id < 0 || id >= t.nedges then invalid_arg "Network.edge_info: unknown edge id";
+  t.edges.(id)
+
+(* [f id edge] over the used prefix, in id order. *)
+let iter_edges t f =
+  for id = 0 to t.nedges - 1 do
+    f id t.edges.(id)
+  done
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>network: %d vertices, %d edges@," t.nvertices t.nedges;
-  Array.iteri
-    (fun id (s, d, c) -> Format.fprintf ppf "  e%d: %d -> %d (%a)@," id s d pp_capacity c)
-    (edges_array t);
+  iter_edges t (fun id (s, d, c) ->
+      Format.fprintf ppf "  e%d: %d -> %d (%a)@," id s d pp_capacity c);
   Format.fprintf ppf "@]"
 
 type cut = { value : capacity; edges : int list }
@@ -63,26 +78,24 @@ type cut = { value : capacity; edges : int list }
    so a computed min cut exceeding it means the true min cut is infinite. *)
 let min_cut_certified t ~source ~sink =
   if source = sink then invalid_arg "Network.min_cut: source = sink";
-  let es = edges_array t in
-  let m = Array.length es in
-  let total_finite =
-    Array.fold_left (fun acc (_, _, c) -> match c with Finite x -> acc + x | Inf -> acc) 0 es
-  in
+  let m = t.nedges in
+  let total_finite = ref 0 in
+  iter_edges t (fun _ (_, _, c) ->
+      match c with Finite x -> total_finite := !total_finite + x | Inf -> ());
+  let total_finite = !total_finite in
   let inf_internal = total_finite + 1 in
   let n = t.nvertices in
   (* Arc arrays: arc 2i is edge i forward, arc 2i+1 its residual. *)
   let arc_to = Array.make (2 * m) 0 in
   let arc_cap = Array.make (2 * m) 0 in
   let head = Array.make n [] in
-  Array.iteri
-    (fun i (s, d, c) ->
+  iter_edges t (fun i (s, d, c) ->
       arc_to.(2 * i) <- d;
       arc_cap.(2 * i) <- (match c with Finite x -> x | Inf -> inf_internal);
       arc_to.((2 * i) + 1) <- s;
       arc_cap.((2 * i) + 1) <- 0;
       head.(s) <- (2 * i) :: head.(s);
-      head.(d) <- ((2 * i) + 1) :: head.(d))
-    es;
+      head.(d) <- ((2 * i) + 1) :: head.(d));
   let head = Array.map Array.of_list head in
   (* Initial forward capacities, to recover per-edge flows at the end. *)
   let orig_fwd = Array.init m (fun i -> arc_cap.(2 * i)) in
@@ -156,12 +169,10 @@ let min_cut_certified t ~source ~sink =
         head.(v)
     done;
     let cut_edges = ref [] in
-    Array.iteri
-      (fun i (s, d, c) ->
+    iter_edges t (fun i (s, d, c) ->
         match c with
         | Finite x when x > 0 && reach.(s) && not reach.(d) -> cut_edges := i :: !cut_edges
-        | _ -> ())
-      es;
+        | _ -> ());
     ({ value = Finite !flow; edges = List.rev !cut_edges }, edge_flows ())
   end
 
@@ -175,33 +186,30 @@ let validate t =
   let c = C.create "Flow.Network" in
   C.check c (t.nvertices >= 0) ~invariant:"vertex-count" "nvertices = %d is negative" t.nvertices;
   C.check c
-    (List.length t.edges = t.nedges)
-    ~invariant:"edge-accounting" "nedges = %d but %d edges stored" t.nedges
-    (List.length t.edges);
-  Array.iteri
-    (fun id (s, d, cap) ->
-      C.check c
-        (s >= 0 && s < t.nvertices && d >= 0 && d < t.nvertices)
-        ~invariant:"endpoint-range" "edge %d: %d -> %d outside [0,%d)" id s d t.nvertices;
-      match cap with
-      | Finite x ->
-          C.check c (x >= 0) ~invariant:"capacity-nonnegative" "edge %d has capacity %d" id x
-      | Inf -> ())
-    (edges_array t);
+    (t.nedges >= 0 && t.nedges <= Array.length t.edges)
+    ~invariant:"edge-accounting" "nedges = %d but the edge array holds %d slots" t.nedges
+    (Array.length t.edges);
+  if t.nedges <= Array.length t.edges then
+    iter_edges t (fun id (s, d, cap) ->
+        C.check c
+          (s >= 0 && s < t.nvertices && d >= 0 && d < t.nvertices)
+          ~invariant:"endpoint-range" "edge %d: %d -> %d outside [0,%d)" id s d t.nvertices;
+        match cap with
+        | Finite x ->
+            C.check c (x >= 0) ~invariant:"capacity-nonnegative" "edge %d has capacity %d" id x
+        | Inf -> ());
   C.result c
 
 let validate_flow t ~source ~sink ~flow ~value =
   let module C = Invariant.Collector in
   let c = C.create "Flow.Network" in
-  let es = edges_array t in
-  let m = Array.length es in
+  let m = t.nedges in
   C.check c
     (Array.length flow = m)
     ~invariant:"flow-length" "flow vector has length %d, expected %d" (Array.length flow) m;
   if Array.length flow = m then begin
     let net = Array.make (max t.nvertices 1) 0 in
-    Array.iteri
-      (fun i (s, d, cap) ->
+    iter_edges t (fun i (s, d, cap) ->
         C.check c (flow.(i) >= 0) ~invariant:"flow-nonnegative" "edge %d carries flow %d" i
           flow.(i);
         (match cap with
@@ -212,8 +220,7 @@ let validate_flow t ~source ~sink ~flow ~value =
         | Inf -> ());
         (* Skew-symmetric bookkeeping: each unit leaving s enters d. *)
         net.(s) <- net.(s) - flow.(i);
-        net.(d) <- net.(d) + flow.(i))
-      es;
+        net.(d) <- net.(d) + flow.(i));
     for v = 0 to t.nvertices - 1 do
       if v <> source && v <> sink then
         C.check c
@@ -235,8 +242,7 @@ let validate_flow t ~source ~sink ~flow ~value =
 let validate_cut t ~source ~sink cut =
   let module C = Invariant.Collector in
   let c = C.create "Flow.Network" in
-  let es = edges_array t in
-  let m = Array.length es in
+  let m = t.nedges in
   match cut.value with
   | Inf ->
       C.check c (cut.edges = []) ~invariant:"cut-edges"
@@ -254,7 +260,7 @@ let validate_cut t ~source ~sink cut =
             C.add c ~invariant:"cut-edges" "cut references unknown edge id %d" id
           else begin
             in_cut.(id) <- true;
-            match es.(id) with
+            match t.edges.(id) with
             | _, _, Finite x -> total := !total + x
             | s, d, Inf ->
                 C.add c ~invariant:"cut-finite" "cut contains the +∞ edge %d (%d -> %d)" id s d
@@ -266,11 +272,9 @@ let validate_cut t ~source ~sink cut =
          positive-capacity subgraph. *)
       if C.violations c = [] && t.nvertices > 0 then begin
         let adj = Array.make t.nvertices [] in
-        Array.iteri
-          (fun id (s, d, cap) ->
+        iter_edges t (fun id (s, d, cap) ->
             let positive = match cap with Finite x -> x > 0 | Inf -> true in
-            if positive && not in_cut.(id) then adj.(s) <- d :: adj.(s))
-          es;
+            if positive && not in_cut.(id) then adj.(s) <- d :: adj.(s));
         let seen = Array.make t.nvertices false in
         let rec go v =
           if not seen.(v) then begin

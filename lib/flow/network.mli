@@ -19,7 +19,9 @@ val add_vertex : t -> int
 val vertex_count : t -> int
 
 val add_edge : t -> src:int -> dst:int -> capacity -> int
-(** Adds a directed edge and returns its edge id (ids are dense from 0). *)
+(** Adds a directed edge and returns its edge id. Ids are dense from 0 and
+    index the insertion order: the [k]-th edge added has id [k - 1].
+    Amortized O(1). *)
 
 val unsafe_add_edge : t -> src:int -> dst:int -> capacity -> int
 (** {!add_edge} without the range and non-negativity checks. Only for tests
@@ -27,7 +29,9 @@ val unsafe_add_edge : t -> src:int -> dst:int -> capacity -> int
 
 val edge_count : t -> int
 val edge_info : t -> int -> int * int * capacity
-(** [(src, dst, capacity)] of an edge id. *)
+(** [(src, dst, capacity)] of an edge id, in O(1): edges are stored in an
+    array indexed by id, so iterating [0 .. edge_count - 1] is linear.
+    @raise Invalid_argument on an id outside [0, edge_count). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -159,6 +159,113 @@ let test_programmatic_tampers () =
         }
   | _ -> Alcotest.fail "hitting-set solve did not settle with a witness"
 
+(* Tampers aimed at the checker's indexed lookups (weights by fact, fact by
+   edge, mapped facts), on a real BCL cut reply whose single-letter word d
+   forces facts: each must be refused by the check that owns it. *)
+let bcl_db = "s a m\nm b n\nn c t\ns d t\nm d n 2\n"
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_indexed_lookup_tampers () =
+  let r = solve ~db:bcl_db "ab|bc|d" in
+  let c =
+    match r.Proto.cert with
+    | Some (Certificate.Cut c) -> c
+    | _ -> Alcotest.fail "BCL solve carries no cut certificate"
+  in
+  check "the reply checks untampered" true (Result.is_ok (Checker.check_reply r));
+  check "the certificate has forced facts" true (c.Certificate.forced <> []);
+  let refuse label needle c' =
+    match Checker.check_reply { r with Proto.cert = Some (Certificate.Cut c') } with
+    | Ok () -> Alcotest.failf "checker accepted %s" label
+    | Error e ->
+        if not (contains e needle) then
+          Alcotest.failf "%s refused for the wrong reason: %s" label e
+  in
+  let capacity e =
+    let _, _, cap = List.nth c.Certificate.edges e in
+    cap
+  in
+  let fact_e, fact_id =
+    List.find (fun (e, _) -> List.mem e c.Certificate.cut_edges) c.Certificate.fact_edges
+  in
+  let inf_e =
+    let rec find e = if capacity e = Certificate.Inf then e else find (e + 1) in
+    find 0
+  in
+  refuse "a duplicate fact id in weights" "duplicate fact in weights"
+    { c with weights = List.hd c.Certificate.weights :: c.Certificate.weights };
+  refuse "a weight that differs from its edge's capacity" "differs from its weight"
+    {
+      c with
+      weights = List.map (fun (fid, w) -> (fid, if fid = fact_id then w + 1 else w)) c.weights;
+    };
+  refuse "a fact mapped to a +inf edge" "mapped to an infinite-capacity edge"
+    {
+      c with
+      fact_edges =
+        List.map (fun (e, fid) -> ((if e = fact_e then inf_e else e), fid)) c.fact_edges;
+    };
+  refuse "a forced fact also mapped to a network edge" "also appears in the network"
+    {
+      c with
+      forced =
+        List.mapi (fun i (fid, w) -> ((if i = 0 then fact_id else fid), w)) c.Certificate.forced;
+    };
+  refuse "a cut edge that is not a fact edge" "is not a fact edge"
+    {
+      c with
+      fact_edges = List.filter (fun (e, _) -> e <> fact_e) c.fact_edges;
+      weights = List.filter (fun (fid, _) -> fid <> fact_id) c.weights;
+    }
+
+(* ---- scale ---- *)
+
+(* Emitting and checking a cut certificate is linear in the network, so
+   served MinCut replies on ~8k-fact grids and >20k-edge BCL networks
+   certify and check in well under a second (a quadratic step would take
+   minutes). A correctness test at scale, not a timing assertion: the
+   certified value equals the uncertified route's, the reply re-checks,
+   and the Thm 3.3 reply serializes exactly the edges [edge_info] reads
+   off the network built from the same database. *)
+let test_cut_at_scale () =
+  let lang = Automata.Lang.of_string in
+  let served label d query uncertified =
+    let text = Ser.to_string d in
+    let d, _ = Result.get_ok (Ser.of_string text) in
+    let r = solve ~db:text query in
+    Alcotest.(check string) (label ^ " reply checks") "ok" (ok_or_msg (Checker.check_reply r));
+    (match (r.Proto.verdict, uncertified d (lang query)) with
+    | Proto.V_exact { value; _ }, Ok (v, _) ->
+        Alcotest.(check string)
+          (label ^ " certified value = uncertified value")
+          (Value.to_string v) (Cert.Value.to_string value)
+    | _, Error e -> Alcotest.failf "%s: uncertified route refused: %s" label e
+    | _ -> Alcotest.failf "%s did not settle exactly" label);
+    match r.Proto.cert with
+    | Some (Certificate.Cut c) -> (d, c)
+    | _ -> Alcotest.failf "%s carries no cut certificate" label
+  in
+  let grid = Graphdb.Generate.flow_grid ~width:64 ~depth:64 ~max_mult:5 ~seed:3 () in
+  check "the grid has about 8k facts" true (Graphdb.Db.live_count grid > 8000);
+  let d, c = served "ax*b on a 64x64 grid" grid "ax*b" Local_solver.solve in
+  let net = (Local_solver.build_network d ~ro:(Automata.Local.ro_enfa (lang "ax*b"))).net in
+  let m = Flow.Network.edge_count net in
+  check "the network is large" true (m > 8000);
+  check "serialized edges = edge_info for ids 0..m-1" true
+    (c.Certificate.edges
+    = List.init m (fun eid ->
+          let src, dst, cap = Flow.Network.edge_info net eid in
+          (src, dst, match cap with Flow.Network.Finite w -> Certificate.Fin w | Inf -> Certificate.Inf)));
+  let layered =
+    Graphdb.Generate.layered ~layers:[ 'a'; 'b'; 'c' ] ~width:48 ~max_mult:3 ~seed:3 ()
+  in
+  let _, c = served "ab|bc on a width-48 layered db" layered "ab|bc" Bcl.solve in
+  check "the BCL network is large" true (List.length c.Certificate.edges > 20000)
+
 (* Unknown schema versions must be refused outright, not half-parsed. *)
 let test_unknown_version_rejected () =
   let r = solve ~db:mix_db "ab" in
@@ -275,9 +382,11 @@ let () =
           Alcotest.test_case "accept corpus" `Quick test_corpus_accepts;
           Alcotest.test_case "reject corpus" `Quick test_corpus_rejects;
         ] );
+      ("scale", [ Alcotest.test_case "certified cuts at scale" `Quick test_cut_at_scale ]);
       ( "tampering",
         [
           Alcotest.test_case "programmatic tampers" `Quick test_programmatic_tampers;
+          Alcotest.test_case "indexed lookup tampers" `Quick test_indexed_lookup_tampers;
           Alcotest.test_case "unknown version" `Quick test_unknown_version_rejected;
           Alcotest.test_case "cert json roundtrip" `Quick test_cert_roundtrip;
           Alcotest.test_case "byte-flip fuzzer" `Quick test_byte_flip_fuzzer;
