@@ -585,9 +585,9 @@ let ablation_pool () =
   List.iter
     (fun workers ->
       let cfg = { Runner.default_config with Runner.workers; retries = 3; backoff = 0.005 } in
-      let t0 = Runner.now_s () in
+      let t0 = Obs.Clock.now () in
       let replies, stats = Runner.run_batch cfg jobs in
-      let wall = Runner.now_s () -. t0 in
+      let wall = Obs.Clock.now () -. t0 in
       let lat =
         List.map (fun (r : Runner.Proto.reply) -> r.Runner.Proto.wall_s) replies
         |> Array.of_list

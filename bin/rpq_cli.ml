@@ -141,9 +141,9 @@ let solve_json ~db_file ~query ~timeout ~steps ~memo_cap =
           trace = None;
         }
       in
-      let t0 = Runner.now_s () in
+      let t0 = Obs.Clock.now () in
       let r = Runner.run_job_locally job in
-      let r = { r with Runner.Proto.wall_s = Runner.now_s () -. t0 } in
+      let r = { r with Runner.Proto.wall_s = Obs.Clock.now () -. t0 } in
       print_endline (Runner.Proto.reply_to_json r);
       (match r.Runner.Proto.verdict with
       | Runner.Proto.V_exact _ -> 0
@@ -172,8 +172,8 @@ let solve_cmd =
       & opt (some float) None
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
-            "CPU-time budget. On exhaustion the solver reports certified lower/upper bounds \
-             instead of an exact value and exits with status 3.")
+            "Wall-clock budget (elapsed seconds, not CPU time). On exhaustion the solver reports \
+             certified lower/upper bounds instead of an exact value and exits with status 3.")
   in
   let steps =
     Arg.(
@@ -707,7 +707,7 @@ let batch_cmd =
         | Ok [] -> input_error "%s: no jobs" jobfile
         | Ok jobs -> begin
             match
-              Obs.Trace.with_span ~args:[ ("jobs", Obs.Jtext.Int (List.length jobs)) ] "batch"
+              Obs.Trace.with_span ~args:[ ("jobs", Cert.Json.Int (List.length jobs)) ] "batch"
                 (fun () -> Runner.run_batch ?journal cfg jobs)
             with
             (* An unreadable/corrupt/locked journal is an input problem
@@ -1064,7 +1064,7 @@ let submit_cmd =
                   (fun (j : Runner.Proto.job) ->
                     let h =
                       Obs.Trace.open_span
-                        ~args:[ ("id", Obs.Jtext.Str j.Runner.Proto.id) ]
+                        ~args:[ ("id", Cert.Json.Str j.Runner.Proto.id) ]
                         "request"
                     in
                     Option.iter (fun h -> Hashtbl.replace spans j.Runner.Proto.id h) h;
@@ -1099,7 +1099,7 @@ let submit_cmd =
                                   ~args:
                                     [
                                       ( "outcome",
-                                        Obs.Jtext.Str
+                                        Cert.Json.Str
                                           (Runner.Proto.verdict_name r.Runner.Proto.verdict) );
                                     ]
                                   h
@@ -1122,7 +1122,7 @@ let submit_cmd =
                     Hashtbl.iter
                       (fun _ h ->
                         Obs.Trace.close_span
-                          ~args:[ ("outcome", Obs.Jtext.Str "lost") ]
+                          ~args:[ ("outcome", Cert.Json.Str "lost") ]
                           h)
                       spans;
                     input_error "submit: %s" e

@@ -32,9 +32,9 @@ let () =
   List.iter
     (fun (q, story) ->
       let l = Automata.Lang.of_string q in
-      let t0 = Sys.time () in
+      let t0 = Obs.Clock.now () in
       let r = Solver.solve db l in
-      let dt = Sys.time () -. t0 in
+      let dt = Obs.Clock.now () -. t0 in
       Format.printf "@.%s  --  %s@." q story;
       Format.printf "  verdict   : %s@."
         (Classify.verdict_summary r.Solver.classification.Classify.verdict);

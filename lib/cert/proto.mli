@@ -18,7 +18,7 @@ val schema_version : int
     (pre-versioning journals) and reject any other value. *)
 
 type budget_spec = {
-  deadline : float option;  (** seconds of processor time *)
+  deadline : float option;  (** wall-clock seconds *)
   steps : int option;
   memo_cap : int option;
 }

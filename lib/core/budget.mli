@@ -38,7 +38,8 @@ val unlimited : unit -> t
 
 val create : ?deadline:float -> ?steps:int -> ?memo_cap:int -> ?probe:(int -> unit) -> unit -> t
 (** [create ~deadline ~steps ~memo_cap ()] starts a budget of [deadline]
-    seconds of processor time from now, [steps] ticks, and a memo cap of
+    wall-clock seconds from now ({!Obs.Clock.now}, the one clock the
+    supervisor's kill deadlines also count), [steps] ticks, and a memo cap of
     [memo_cap] entries (default {!default_memo_cap}). Omitted dimensions are
     unlimited. The current {!Faults} plan is consulted for a fault tick.
 
@@ -85,7 +86,7 @@ val charge_memory : t -> int -> unit
 
 type spent = {
   steps : int;  (** ticks consumed, including those of slices *)
-  elapsed : float;  (** processor seconds since creation *)
+  elapsed : float;  (** wall-clock seconds since creation *)
 }
 
 val spent : t -> spent

@@ -68,7 +68,7 @@ val rule_unix : string
 
 val rule_clock : string
 (** Raw clock read ([Sys.time], [Unix.gettimeofday]) without a
-    ['clock] grant (granted to [lib/obs] and [lib/runner]). *)
+    ['clock] grant (granted to [lib/obs] and [bin/]). *)
 
 val rule_sync : string
 (** Durability/locking primitive ([Unix.fsync], [Unix.lockf]) without

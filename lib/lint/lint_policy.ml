@@ -21,8 +21,9 @@ type t = {
    The layer contract (lower may never depend on higher; equal only
    within peer layers):
 
-     0  invariant, lint          axioms: violation reporting, this tool
-     1  obs                      clocks, metrics, traces
+     0  invariant, lint, cert    axioms: violation reporting, this tool,
+                                 the JSON codec and certificate checker
+     1  obs                      the clock, metrics, traces
      2  automata, graphs, flow,  leaf solver toolkits (peers: may use
         lp, hypergraph,          each other acyclically)
         submodular, graphdb
@@ -39,7 +40,7 @@ let default =
       [
         ("invariant", 0);
         ("lint", 0);
-        ("cert", 1);
+        ("cert", 0);
         ("obs", 1);
         ("automata", 2);
         ("graphs", 2);
@@ -56,7 +57,7 @@ let default =
     grants =
       [
         ("obs", [ Cunix; Cclock; Cstate ]);
-        ("runner", [ Cunix; Cclock; Cfsync; Cstate ]);
+        ("runner", [ Cunix; Cfsync; Cstate ]);
         ("resilience", [ Cstate ]);
         ("core", [ Cstate ]);
         ("bin", [ Cunix; Cclock; Cprint; Cexit; Cstate; Cstderr ]);

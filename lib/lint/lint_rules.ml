@@ -276,8 +276,7 @@ let scan_source ~file src =
           || tok = "UnixLabels.gettimeofday"
         then
           add line rule_clock
-            (Printf.sprintf "%s: clock reads are confined to lib/obs (use Obs.Clock) and lib/runner"
-               tok);
+            (Printf.sprintf "%s: clock reads are confined to lib/obs (use Obs.Clock.now)" tok);
         (* Durability primitives are the journal's business alone. *)
         if
           tok = "Unix.fsync" || tok = "UnixLabels.fsync" || tok = "Unix.lockf"
@@ -506,9 +505,10 @@ let explanations =
        helper — is untestable in-process; the analyzer propagates the capability transitively \
        and reports a witness path." );
     ( rule_clock,
-      "The 'clock' capability (Sys.time, Unix.gettimeofday) is granted to lib/obs (which owns \
-       the monotone clock) and lib/runner (select timeouts). Everything else reads time through \
-       Obs.Clock." );
+      "The 'clock' capability (Sys.time, Unix.gettimeofday) is granted to lib/obs, which owns \
+       the one monotone wall clock, and to bin/. Everything else — the solvers' budget \
+       deadlines and the supervisor's kill deadlines alike — reads time through Obs.Clock.now, \
+       so the two can never count different kinds of time." );
     ( rule_sync,
       "The 'fsync' capability (Unix.fsync, Unix.lockf) is granted to lib/runner only: the \
        journal owns the fsync-and-rename and lock disciplines, and a stray fsync elsewhere \

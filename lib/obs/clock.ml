@@ -8,5 +8,3 @@ let now () =
   let t = Unix.gettimeofday () in
   if t > !last then last := t;
   !last
-
-let cpu () = Sys.time ()

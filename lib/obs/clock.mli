@@ -1,17 +1,13 @@
-(** The two clocks of the telemetry layer.
+(** The one clock of the repository.
 
-    Everything in the repository that reads a clock goes through this
-    module (or through [lib/runner], which owns its own wall-clock calls
-    for supervision timeouts) — enforced by the [clock-outside-obs] lint
-    rule, so CPU time can never again be mistaken for wall time the way
-    the original [bench/main.ml:time_it] did. *)
+    Everything that reads time goes through {!now}: spans and latencies,
+    benchmarks, the supervisor's select timeouts and kill deadlines, and
+    the {!Resilience.Budget} deadlines the solvers stop on. The
+    [clock-outside-obs] lint rule confines raw clock reads to this
+    module, so a solver deadline and the wall-clock kill that backstops
+    it always count the same time. *)
 
 val now : unit -> float
 (** Monotonically non-decreasing wall-clock seconds: the system clock
     behind a max guard, so differences are never negative even across a
-    backwards clock step. Use for spans, latencies, and benchmarks. *)
-
-val cpu : unit -> float
-(** Processor seconds consumed by this process ([Sys.time]). Use for
-    CPU-time budgets ({!Resilience.Budget}), never for wall-clock
-    measurements. *)
+    backwards clock step. *)

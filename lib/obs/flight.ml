@@ -5,10 +5,12 @@
    sibling temp file, then rename — so a reader never observes a torn
    dump, even when the writer is mid-crash. *)
 
+module Json = Cert.Json
+
 type t = {
   path : string;
   cap : int;
-  ring : Jtext.t option array;
+  ring : Json.t option array;
   mutable seq : int;  (* total events ever noted; ring slot = seq mod cap *)
 }
 
@@ -37,25 +39,25 @@ let note ev =
 (* The final metrics snapshot is supplied by [Metrics] at link time
    (registering here rather than calling there keeps the dependency
    arrow pointing one way: metrics -> flight). *)
-let metrics_provider : (unit -> Jtext.t) ref = ref (fun () -> Jtext.Null)
+let metrics_provider : (unit -> Json.t) ref = ref (fun () -> Json.Null)
 let set_metrics_provider f = metrics_provider := f
 
 let events t =
   let n = min t.seq t.cap in
   let first = t.seq - n in
   List.init n (fun i ->
-      match t.ring.((first + i) mod t.cap) with Some ev -> ev | None -> Jtext.Null)
+      match t.ring.((first + i) mod t.cap) with Some ev -> ev | None -> Json.Null)
 
 let dump_json t ~reason =
-  Jtext.Obj
+  Json.Obj
     [
-      ("v", Jtext.Int 1);
-      ("reason", Jtext.Str reason);
-      ("pid", Jtext.Int (Unix.getpid ()));
-      ("ts", Jtext.Float (Clock.now ()));
-      ("seq", Jtext.Int t.seq);
-      ("dropped", Jtext.Int (max 0 (t.seq - t.cap)));
-      ("events", Jtext.List (events t));
+      ("v", Json.Int 1);
+      ("reason", Json.Str reason);
+      ("pid", Json.Int (Unix.getpid ()));
+      ("ts", Json.Float (Clock.now ()));
+      ("seq", Json.Int t.seq);
+      ("dropped", Json.Int (max 0 (t.seq - t.cap)));
+      ("events", Json.List (events t));
       ("metrics", !metrics_provider ());
     ]
 
@@ -68,7 +70,7 @@ let dump ~reason () =
       let tmp = t.path ^ ".tmp" in
       try
         let oc = open_out tmp in
-        output_string oc (Jtext.to_string (dump_json t ~reason));
+        output_string oc (Json.to_string (dump_json t ~reason));
         output_char oc '\n';
         flush oc;
         close_out oc;

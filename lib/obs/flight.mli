@@ -27,7 +27,7 @@ val configure_from_env : unit -> unit
 val disable : unit -> unit
 val enabled : unit -> bool
 
-val note : Jtext.t -> unit
+val note : Cert.Json.t -> unit
 (** Append one event to the ring (overwriting the oldest when full).
     No-op when disarmed — cheap enough for instrumentation paths. *)
 
@@ -36,6 +36,6 @@ val dump : reason:string -> unit -> unit
     atomically. Never raises (a crash handler must not mask the crash);
     no-op when disarmed. *)
 
-val set_metrics_provider : (unit -> Jtext.t) -> unit
+val set_metrics_provider : (unit -> Cert.Json.t) -> unit
 (** Called once by [Metrics] at link time; the provider supplies the
     dump's [metrics] field. *)

@@ -3,6 +3,8 @@
    the hot operations — [incr], [add], [observe] — are a field update and
    at most a [log] call, cheap enough for the innermost solver loops. *)
 
+module Json = Cert.Json
+
 type counter = { cname : string; mutable count : int }
 type gauge = { mutable value : float }
 
@@ -82,8 +84,8 @@ let histogram name =
 let note_count c =
   if Flight.enabled () then
     Flight.note
-      (Jtext.Obj
-         [ ("k", Jtext.Str "ctr"); ("name", Jtext.Str c.cname); ("count", Jtext.Int c.count) ])
+      (Json.Obj
+         [ ("k", Json.Str "ctr"); ("name", Json.Str c.cname); ("count", Json.Int c.count) ])
 
 let incr c =
   c.count <- c.count + 1;
@@ -175,18 +177,18 @@ let reset () =
           h.hi <- Float.neg_infinity)
     registry
 
-let stat_to_jtext = function
-  | Counter n -> Jtext.Int n
-  | Gauge v -> Jtext.Float v
+let stat_to_json = function
+  | Counter n -> Json.Int n
+  | Gauge v -> Json.Float v
   | Histogram { n; sum; lo; hi; p50; p99 } ->
-      Jtext.Obj
+      Json.Obj
         [
-          ("count", Jtext.Int n);
-          ("sum", Jtext.Float sum);
-          ("min", Jtext.Float lo);
-          ("max", Jtext.Float hi);
-          ("p50", Jtext.Float p50);
-          ("p99", Jtext.Float p99);
+          ("count", Json.Int n);
+          ("sum", Json.Float sum);
+          ("min", Json.Float lo);
+          ("max", Json.Float hi);
+          ("p50", Json.Float p50);
+          ("p99", Json.Float p99);
         ]
 
 (* Both external surfaces — the serve [{"stats":true}] control line and
@@ -196,11 +198,7 @@ let stat_to_jtext = function
    one locale-independent [%.9g] formatter (OCaml's [Printf] never
    consults the locale), so identical counter states render to
    byte-identical output across runs and machines. *)
-let jtext_of_snapshot snap =
-  Jtext.Obj (List.map (fun (name, s) -> (name, stat_to_jtext s)) snap)
-
-let to_jtext () = jtext_of_snapshot (snapshot ())
-let snapshot_string () = Jtext.to_string (to_jtext ())
+let to_json () = Json.Obj (List.map (fun (name, s) -> (name, stat_to_json s)) (snapshot ()))
 
 (* ---- Prometheus text exposition (version 0.0.4) ---- *)
 
@@ -257,4 +255,4 @@ let prometheus_string ?only_counters () = prometheus_of_snapshot ?only_counters 
 (* The flight-recorder dump's [metrics] field is the same rendering as
    every other surface. Registered here to keep the dependency arrow
    metrics -> flight. *)
-let () = Flight.set_metrics_provider to_jtext
+let () = Flight.set_metrics_provider to_json

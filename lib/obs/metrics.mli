@@ -51,18 +51,11 @@ val snapshot : unit -> (string * stat) list
 val reset : unit -> unit
 (** Zero all values, keeping the metric objects registered. *)
 
-val jtext_of_snapshot : (string * stat) list -> Jtext.t
-(** Render an already-taken snapshot. Both the serve stats control line
-    and the Prometheus endpoint render the same {!snapshot} value, so
-    the two surfaces cannot drift. *)
-
-val to_jtext : unit -> Jtext.t
+val to_json : unit -> Cert.Json.t
 (** The snapshot as one JSON object, metric names as keys (sorted;
     floats formatted locale-independently, so identical counter states
-    render byte-identically). *)
-
-val snapshot_string : unit -> string
-(** [Jtext.to_string (to_jtext ())] — the [rpq serve] [stats] payload. *)
+    render byte-identically) — the [rpq serve] [stats] payload and the
+    flight dump's [metrics] field. *)
 
 val prometheus_of_snapshot : ?only_counters:bool -> (string * stat) list -> string
 (** Prometheus text exposition (format 0.0.4) of a snapshot: metric

@@ -72,12 +72,12 @@ val with_parent : span_ctx option -> (unit -> 'a) -> 'a
 
 (** {1 Scoped spans} *)
 
-val with_span : ?args:(string * Jtext.t) list -> string -> (unit -> 'a) -> 'a
+val with_span : ?args:(string * Cert.Json.t) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] times [f] between monotonic-clock reads and emits
     one span event on close (also on exception). [args] become the
     event's [args] fields. When disabled this is exactly [f ()]. *)
 
-val instant : ?args:(string * Jtext.t) list -> string -> unit
+val instant : ?args:(string * Cert.Json.t) list -> string -> unit
 (** A zero-duration event (dispatches, retries, worker deaths). *)
 
 (** {1 Manual spans}
@@ -89,12 +89,12 @@ val instant : ?args:(string * Jtext.t) list -> string -> unit
 
 type handle
 
-val open_span : ?args:(string * Jtext.t) list -> ?parent:span_ctx -> string -> handle option
+val open_span : ?args:(string * Cert.Json.t) list -> ?parent:span_ctx -> string -> handle option
 (** Allocate a span starting now. [parent] overrides the ambient parent
     (an unsampled parent yields [None]). [None] when no sink is
     configured — thread the option through and {!close_span} it. *)
 
-val close_span : ?args:(string * Jtext.t) list -> handle -> unit
+val close_span : ?args:(string * Cert.Json.t) list -> handle -> unit
 (** Emit the span, ending now. Idempotent. *)
 
 val handle_ctx : handle -> span_ctx
@@ -113,7 +113,7 @@ val adopt_pipe : out_channel -> unit
     spans as interrupted. No-op when the parent had no sink. *)
 
 val emit_raw_span :
-  ?args:(string * Jtext.t) list ->
+  ?args:(string * Cert.Json.t) list ->
   ?tid:string ->
   ?sid:string ->
   ?psid:string ->
@@ -128,7 +128,7 @@ val emit_raw_span :
     sink ([ts] relative to the shared epoch). Supervisor-side stitching. *)
 
 val emit_raw_instant :
-  ?args:(string * Jtext.t) list ->
+  ?args:(string * Cert.Json.t) list ->
   ?tid:string ->
   ?sid:string ->
   ?psid:string ->
@@ -144,7 +144,7 @@ val epoch : unit -> float option
 
 (** {1 Stage accounting} *)
 
-val stage : ?args:(string * Jtext.t) list -> string -> (unit -> 'a) -> 'a
+val stage : ?args:(string * Cert.Json.t) list -> string -> (unit -> 'a) -> 'a
 (** Like {!with_span} (the span is named [stage:<name>] and tagged with
     [stage=<name>]) but additionally accumulates elapsed time into the
     ambient {!with_stages} table, if one is active. Only the outermost

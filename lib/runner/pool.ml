@@ -61,8 +61,6 @@ type event =
   | Input of Unix.file_descr  (** an [~extra] fd is readable *)
   | Writable of Unix.file_descr  (** an [~extra_write] fd is writable *)
 
-let now () = Unix.gettimeofday ()
-
 let rec restart_eintr f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
 
 let write_all fd s =
@@ -87,13 +85,15 @@ let worker_loop handler to_child of_child =
   (try Sys.set_signal Sys.sigterm Sys.Signal_default with Invalid_argument _ | Sys_error _ -> ());
   (try Sys.set_signal Sys.sigint Sys.Signal_default with Invalid_argument _ | Sys_error _ -> ());
   Obs.Flight.disable ();
-  (* If the supervisor is tracing, stream our spans back interleaved
-     with (and marked distinct from) reply lines. Both writers flush
-     whole lines and the process is single-threaded, so frames never
-     tear. *)
-  Obs.Trace.adopt_pipe oc;
   let status = ref 0 in
   (try
+     (* If the supervisor is tracing, stream our spans back interleaved
+        with (and marked distinct from) reply lines. Both writers flush
+        whole lines and the process is single-threaded, so frames never
+        tear. Adopting writes a meta line, so it sits inside the handler:
+        a supervisor that already closed a fresh worker's pipe must not
+        send the child unwinding into the parent's code. *)
+     Obs.Trace.adopt_pipe oc;
      while true do
        let line = input_line ic in
        let reply = handler line in
@@ -179,7 +179,7 @@ let assign t ~id ?timeout ~payload () =
     | Some s, None | None, Some s -> s
     | Some a, Some b -> Float.min a b
   in
-  let deadline = if wall = infinity then infinity else now () +. wall in
+  let deadline = if wall = infinity then infinity else Obs.Clock.now () +. wall in
   w.job <- Some (id, deadline);
   w.term_sent <- None;
   w.wedged <- false;
@@ -218,8 +218,8 @@ let dead_worker t w status =
   w.wedged <- false;
   Obs.Log.info "worker-respawn"
     [
-      ("death", Obs.Jtext.Str (death_to_string death));
-      ("pid", Obs.Jtext.Int fresh.pid);
+      ("death", Cert.Json.Str (death_to_string death));
+      ("pid", Cert.Json.Int fresh.pid);
     ];
   if id = "" then None else Some (Crashed { id; death })
 
@@ -298,7 +298,7 @@ let handle_readable t w events =
         events (take_lines w)
 
 let enforce_deadlines t events =
-  let t_now = now () in
+  let t_now = Obs.Clock.now () in
   Array.fold_left
     (fun events w ->
       match w.job, w.term_sent with
@@ -319,7 +319,7 @@ let enforce_deadlines t events =
     events t.pool
 
 let next_wakeup t ~timeout =
-  let t_now = now () in
+  let t_now = Obs.Clock.now () in
   Array.fold_left
     (fun acc w ->
       match w.job, w.term_sent with

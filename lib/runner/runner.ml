@@ -11,8 +11,6 @@ module Trace = Obs.Trace
 
 module Log = Obs.Log
 
-let now_s () = Unix.gettimeofday ()
-
 (* Env-installed crash plans must look like a real supervisor death — no
    unwinding, no finalizers, just gone. lib/core cannot touch Unix (see
    the rpq_lint unix rule), so the exit behavior is injected here, once,
@@ -190,9 +188,9 @@ let run_job_locally (job : job) : reply =
         Trace.with_span
           ~args:
             [
-              ("id", Obs.Jtext.Str job.id);
-              ("query", Obs.Jtext.Str job.query);
-              ("db_bytes", Obs.Jtext.Int (String.length job.db));
+              ("id", Json.Str job.id);
+              ("query", Json.Str job.query);
+              ("db_bytes", Json.Int (String.length job.db));
             ]
           "solve"
           (fun () ->
@@ -352,10 +350,10 @@ let submit ?deadline_abs e (job : job) =
   let span =
     Trace.open_span
       ?parent:(Option.bind job.trace Trace.ctx_of_string)
-      ~args:[ ("id", Obs.Jtext.Str job.id) ]
+      ~args:[ ("id", Json.Str job.id) ]
       "job"
   in
-  let submitted = now_s () in
+  let submitted = Obs.Clock.now () in
   (* The end-to-end clock starts at the earliest point the deadline is
      known: the serve layer passes the admission-time absolute deadline
      so queue time spent there is charged; a batch submission starts it
@@ -396,24 +394,26 @@ let settle e t reply =
   update_gauges e;
   Trace.instant
     ~args:
-      [ ("id", Obs.Jtext.Str t.job.id); ("outcome", Obs.Jtext.Str (verdict_name reply.verdict)) ]
+      [ ("id", Json.Str t.job.id); ("outcome", Json.Str (verdict_name reply.verdict)) ]
     "settle";
   Option.iter
     (fun h ->
       Trace.close_span
         ~args:
           [
-            ("outcome", Obs.Jtext.Str (verdict_name reply.verdict));
-            ("attempts", Obs.Jtext.Int t.attempts);
+            ("outcome", Json.Str (verdict_name reply.verdict));
+            ("attempts", Json.Int t.attempts);
           ]
         h)
     t.span;
-  e.emit { reply with id = t.job.id; attempts = t.attempts; wall_s = now_s () -. t.first_dispatch }
+  e.emit
+    { reply with id = t.job.id; attempts = t.attempts; wall_s = Obs.Clock.now () -. t.first_dispatch }
 
 (* Seconds left on the task's end-to-end deadline, clamped into the
-   worker budget: the solver's processor-time deadline can never exceed
-   the client's remaining wall budget (processor time ≤ wall time), so
-   queue time already spent is not spent again on the worker. *)
+   worker budget: the solver's budget deadline and the client's deadline
+   count the same wall clock ([Obs.Clock.now]), so queue time already
+   spent is not spent again on the worker, and a busy CPU cannot make the
+   budget outlast the pool's kill. *)
 let remaining_wall t ~t_now =
   if t.deadline_abs = infinity then None
   else Some (Float.max 0.01 (t.deadline_abs -. t_now))
@@ -439,7 +439,7 @@ let hedge_ready e =
   | None -> ()
   | Some after ->
       if Pool.idle_count e.pool > 0 && Queue.is_empty e.pending then begin
-        let t_now = now_s () in
+        let t_now = Obs.Clock.now () in
         Hashtbl.iter
           (fun _ t ->
             if
@@ -450,9 +450,9 @@ let hedge_ready e =
               t.hedged <- true;
               t.hedge_up <- true;
               Obs.Metrics.incr m_hedges;
-              Trace.instant ~args:[ ("id", Obs.Jtext.Str t.job.id) ] "hedge";
+              Trace.instant ~args:[ ("id", Json.Str t.job.id) ] "hedge";
               Log.info "hedge"
-                [ ("id", Obs.Jtext.Str t.job.id); ("attempt", Obs.Jtext.Int t.attempts) ];
+                [ ("id", Json.Str t.job.id); ("attempt", Json.Int t.attempts) ];
               Pool.assign e.pool ~id:(hedge_tag t.job.id)
                 ?timeout:(pool_timeout (remaining_wall t ~t_now))
                 ~payload:t.wire ()
@@ -462,7 +462,7 @@ let hedge_ready e =
 
 let dispatch_ready e =
   (* Promote delayed tasks whose backoff expired... *)
-  let t_now = now_s () in
+  let t_now = Obs.Clock.now () in
   let due, still = List.partition (fun t -> t.not_before <= t_now) e.delayed in
   e.delayed <- still;
   List.iter (fun t -> Queue.add t e.pending) due;
@@ -470,19 +470,19 @@ let dispatch_ready e =
   let idle = ref (Pool.idle_count e.pool) in
   while !idle > 0 && not (Queue.is_empty e.pending) do
     let t = Queue.pop e.pending in
-    let t_now = now_s () in
+    let t_now = Obs.Clock.now () in
     if t.deadline_abs <= t_now then begin
       (* Expired while queued: shed without burning a worker on an
          answer nobody is waiting for. Retriable — the client may come
          back with a fresh deadline. *)
       Obs.Metrics.incr m_deadline_exceeded;
       Trace.instant
-        ~args:[ ("id", Obs.Jtext.Str t.job.id); ("reason", Obs.Jtext.Str "deadline_exceeded") ]
+        ~args:[ ("id", Json.Str t.job.id); ("reason", Json.Str "deadline_exceeded") ]
         "shed";
       Log.warn "deadline-exceeded"
         [
-          ("id", Obs.Jtext.Str t.job.id);
-          ("late_s", Obs.Jtext.Float (t_now -. t.deadline_abs));
+          ("id", Json.Str t.job.id);
+          ("late_s", Json.Float (t_now -. t.deadline_abs));
         ];
       if t.first_dispatch = 0.0 then t.first_dispatch <- t.submitted;
       settle e t
@@ -502,7 +502,7 @@ let dispatch_ready e =
       t.hedge_up <- false;
       t.fallback <- None;
       Hashtbl.replace e.inflight t.job.id t;
-      Trace.instant ~args:[ ("id", Obs.Jtext.Str t.job.id) ] "dispatch";
+      Trace.instant ~args:[ ("id", Json.Str t.job.id) ] "dispatch";
       (* The worker parents its spans under this task's supervisor span;
          an untraced supervisor forwards whatever context the job came in
          with, so propagation survives un-instrumented hops. *)
@@ -528,15 +528,15 @@ let death_counter = function
 
 let log_death ?(hedge = false) t death =
   Trace.instant
-    ~args:[ ("id", Obs.Jtext.Str t.job.id); ("death", Obs.Jtext.Str (death_kind death)) ]
+    ~args:[ ("id", Json.Str t.job.id); ("death", Json.Str (death_kind death)) ]
     "worker-death";
   Log.warn "worker-death"
     ([
-       ("id", Obs.Jtext.Str t.job.id);
-       ("death", Obs.Jtext.Str (Pool.death_to_string death));
-       ("attempt", Obs.Jtext.Int t.attempts);
+       ("id", Json.Str t.job.id);
+       ("death", Json.Str (Pool.death_to_string death));
+       ("attempt", Json.Int t.attempts);
      ]
-    @ if hedge then [ ("hedge", Obs.Jtext.Bool true) ] else [])
+    @ if hedge then [ ("hedge", Json.Bool true) ] else [])
 
 (* Both attempts of the current round are down: quarantine, give up, or
    degrade-and-retry. Quarantine preempts the retry budget — a job that
@@ -548,20 +548,20 @@ let retry_or_fail e t death =
   if e.cfg.poison_k > 0 && t.deaths >= e.cfg.poison_k then begin
     Obs.Metrics.incr m_poisoned;
     Trace.instant
-      ~args:[ ("id", Obs.Jtext.Str t.job.id); ("deaths", Obs.Jtext.Int t.deaths) ]
+      ~args:[ ("id", Json.Str t.job.id); ("deaths", Json.Int t.deaths) ]
       "poison";
     Log.error "poison"
       [
-        ("id", Obs.Jtext.Str t.job.id);
-        ("deaths", Obs.Jtext.Int t.deaths);
-        ("death", Obs.Jtext.Str (Pool.death_to_string death));
+        ("id", Json.Str t.job.id);
+        ("deaths", Json.Int t.deaths);
+        ("death", Json.Str (Pool.death_to_string death));
       ];
     Obs.Flight.note
-      (Obs.Jtext.Obj
+      (Json.Obj
          [
-           ("poison", Obs.Jtext.Str t.job.id);
-           ("deaths", Obs.Jtext.Int t.deaths);
-           ("death", Obs.Jtext.Str (Pool.death_to_string death));
+           ("poison", Json.Str t.job.id);
+           ("deaths", Json.Int t.deaths);
+           ("death", Json.Str (Pool.death_to_string death));
          ]);
     settle e t
       (failed ~id:t.job.id ~kind:"poison" "quarantined after killing %d workers (%s)" t.deaths
@@ -577,13 +577,13 @@ let retry_or_fail e t death =
     Hashtbl.remove e.wopen (hedge_tag t.job.id);
     Obs.Metrics.incr m_retries;
     Log.info "retry"
-      [ ("id", Obs.Jtext.Str t.job.id); ("attempt", Obs.Jtext.Int (t.attempts + 1)) ];
+      [ ("id", Json.Str t.job.id); ("attempt", Json.Int (t.attempts + 1)) ];
     (* Shrink the budget so whatever made the worker die (a fault tick, a
        runaway search) is preempted by exhaustion on a later attempt and
        the job settles as Bounded instead of failing outright. *)
     t.cur_budget <- degrade_budget ~degrade:e.cfg.degrade t.cur_budget;
     t.not_before <-
-      now_s () +. (e.cfg.backoff *. float_of_int (1 lsl min 16 (t.attempts - 1)));
+      Obs.Clock.now () +. (e.cfg.backoff *. float_of_int (1 lsl min 16 (t.attempts - 1)));
     e.delayed <- t :: e.delayed
   end
 
@@ -602,20 +602,8 @@ let task_of_event e id =
 
 (* ---- worker trace stitching ---- *)
 
-(* Args on re-emitted worker events keep only the scalar fields the
-   worker attached; identity/position fields were already lifted. *)
-let jtext_of_json : Json.t -> Obs.Jtext.t =
-  let rec conv = function
-    | Json.Null -> Obs.Jtext.Null
-    | Json.Bool b -> Obs.Jtext.Bool b
-    | Json.Int i -> Obs.Jtext.Int i
-    | Json.Float f -> Obs.Jtext.Float f
-    | Json.Str s -> Obs.Jtext.Str s
-    | Json.List xs -> Obs.Jtext.List (List.map conv xs)
-    | Json.Obj fs -> Obs.Jtext.Obj (List.map (fun (k, v) -> (k, conv v)) fs)
-  in
-  conv
-
+(* Args on re-emitted worker events keep only the fields the worker
+   attached; identity/position fields were already lifted. *)
 let structural_fields = [ "ev"; "name"; "ts"; "dur"; "depth"; "pid"; "tid"; "sid"; "psid" ]
 
 let event_args obj =
@@ -623,7 +611,7 @@ let event_args obj =
   | Json.Obj fields ->
       List.filter_map
         (fun (k, v) ->
-          if List.mem k structural_fields then None else Some (k, jtext_of_json v))
+          if List.mem k structural_fields then None else Some (k, v))
         fields
   | _ -> []
 
@@ -696,10 +684,10 @@ let handle_worker_trace e ~id ~pid line =
 let close_interrupted_spans ?outcome e id =
   (match (Hashtbl.find_opt e.wopen id, Trace.epoch ()) with
   | Some ws, Some t0 ->
-      let now_rel = now_s () -. t0 in
+      let now_rel = Obs.Clock.now () -. t0 in
       let args =
-        ("interrupted", Obs.Jtext.Bool true)
-        :: (match outcome with None -> [] | Some o -> [ ("outcome", Obs.Jtext.Str o) ])
+        ("interrupted", Json.Bool true)
+        :: (match outcome with None -> [] | Some o -> [ ("outcome", Json.Str o) ])
       in
       List.iter
         (fun w ->
@@ -719,7 +707,7 @@ let kill_loser e t ~loser_is_hedge =
   if loser_is_hedge then t.hedge_up <- false else t.primary_up <- false;
   Trace.instant
     ~args:
-      [ ("id", Obs.Jtext.Str t.job.id); ("loser", Obs.Jtext.Str (if loser_is_hedge then "hedge" else "primary")) ]
+      [ ("id", Json.Str t.job.id); ("loser", Json.Str (if loser_is_hedge then "hedge" else "primary")) ]
     "hedged-loser";
   close_interrupted_spans ~outcome:"hedged_loser" e loser
 
@@ -751,8 +739,8 @@ let handle_event e = function
                 else begin
                   Log.warn "hedge-cert-reject"
                     [
-                      ("id", Obs.Jtext.Str t.job.id);
-                      ("hedge", Obs.Jtext.Bool is_hedge);
+                      ("id", Json.Str t.job.id);
+                      ("hedge", Json.Bool is_hedge);
                     ];
                   t.fallback <- Some r
                 end
@@ -768,7 +756,7 @@ let handle_event e = function
               end
           | Error msg ->
               Log.error "malformed-reply"
-                [ ("id", Obs.Jtext.Str id); ("error", Obs.Jtext.Str msg) ];
+                [ ("id", Json.Str id); ("error", Json.Str msg) ];
               if other_up then
                 (* The racing attempt may still settle the job; this
                    malformed attempt is simply out of the race. *)
@@ -823,7 +811,7 @@ let abort_task e t =
   close_interrupted_spans ~outcome:"cancelled" e (hedge_tag t.job.id);
   Hashtbl.remove e.inflight t.job.id;
   Option.iter
-    (fun h -> Trace.close_span ~args:[ ("outcome", Obs.Jtext.Str "cancelled") ] h)
+    (fun h -> Trace.close_span ~args:[ ("outcome", Json.Str "cancelled") ] h)
     t.span;
   update_gauges e
 
@@ -831,7 +819,7 @@ let abort_task e t =
    lone delayed task waits out the full default timeout), for a queued
    task's approaching deadline, and for the nearest hedge trigger. *)
 let engine_timeout e =
-  let t_now = now_s () in
+  let t_now = Obs.Clock.now () in
   let acc =
     List.fold_left
       (fun acc t -> Float.min acc (Float.max 0.005 (t.not_before -. t_now)))
@@ -978,16 +966,12 @@ let run_batch ?journal cfg (jobs : job list) : reply list * batch_stats =
 
 (* A [{"stats": true}] line (optionally carrying an [id]) is a control
    request, not a job: it answers immediately with the supervisor's
-   metrics snapshot and consumes no queue slot. The snapshot is spliced
-   in textually — [Obs.Metrics.snapshot_string] emits the same JSON
-   grammar this layer parses (see [Obs.Jtext]). *)
+   metrics snapshot and consumes no queue slot. *)
 let is_stats_request v =
   match Json.member "stats" v with Some (Json.Bool true) -> true | _ -> false
 
 let stats_line id =
-  Printf.sprintf {|{"id":%s,"stats":%s}|}
-    (Json.to_string (Json.Str id))
-    (Obs.Metrics.snapshot_string ())
+  Json.to_string (Json.Obj [ ("id", Json.Str id); ("stats", Obs.Metrics.to_json ()) ])
 
 let m_serve_clients = Obs.Metrics.gauge "serve.clients"
 let m_serve_queued = Obs.Metrics.gauge "serve.queued"
@@ -1247,7 +1231,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
     match scfg.brownout_after with
     | None -> ()
     | Some after ->
-        let t_now = now_s () in
+        let t_now = Obs.Clock.now () in
         let pressured = Admission.queued adm >= max 1 (cfg.queue_cap / 2) in
         (match (pressured, !pressure_since) with
         | true, None -> pressure_since := Some t_now
@@ -1260,11 +1244,11 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
           brownout := active;
           Obs.Metrics.set m_brownout (if active then 1.0 else 0.0);
           Trace.instant
-            ~args:[ ("queued", Obs.Jtext.Int (Admission.queued adm)) ]
+            ~args:[ ("queued", Json.Int (Admission.queued adm)) ]
             (if active then "brownout-enter" else "brownout-exit");
           Log.warn
             (if active then "brownout-enter" else "brownout-exit")
-            [ ("queued", Obs.Jtext.Int (Admission.queued adm)) ]
+            [ ("queued", Json.Int (Admission.queued adm)) ]
         end
   in
   (* internal id -> (client, original id, parsed job, request span).
@@ -1278,7 +1262,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
     Option.iter
       (fun h ->
         Trace.close_span
-          ~args:(if outcome = "" then [] else [ ("outcome", Obs.Jtext.Str outcome) ])
+          ~args:(if outcome = "" then [] else [ ("outcome", Json.Str outcome) ])
           h)
       h
   in
@@ -1365,7 +1349,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
         | Some (cid, (j : job)) -> begin
             let dl = Hashtbl.find_opt deadlines j.id in
             match dl with
-            | Some d when d <= now_s () ->
+            | Some d when d <= Obs.Clock.now () ->
                 Obs.Metrics.incr m_deadline_exceeded;
                 (match Hashtbl.find_opt owners j.id with
                 | Some (_, orig, _, rspan) ->
@@ -1374,7 +1358,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                     Admission.settled adm cid;
                     close_request ~outcome:"deadline_exceeded" rspan;
                     Log.warn "deadline-exceeded"
-                      [ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str orig) ];
+                      [ ("cid", Json.Int cid); ("id", Json.Str orig) ];
                     deliver cid
                       (failed ~retriable:true ~id:orig ~kind:"deadline_exceeded"
                          "deadline expired while queued for admission")
@@ -1385,7 +1369,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                     Obs.Metrics.incr m_brownout_degraded;
                     Trace.instant
                       ~args:
-                        [ ("id", Obs.Jtext.Str j.id); ("reason", Obs.Jtext.Str "brownout") ]
+                        [ ("id", Json.Str j.id); ("reason", Json.Str "brownout") ]
                       "degrade";
                     { j with budget = degrade_budget ~degrade:cfg.degrade j.budget }
                   end
@@ -1451,7 +1435,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                   status ctype (String.length body) body))
         in
         Log.debug "scrape"
-          [ ("cid", Obs.Jtext.Int (Transport.cid c)); ("target", Obs.Jtext.Str target) ];
+          [ ("cid", Json.Int (Transport.cid c)); ("target", Json.Str target) ];
         (match target with
         | "/metrics" ->
             respond "200 OK" "text/plain; version=0.0.4" (Obs.Metrics.prometheus_string ())
@@ -1478,9 +1462,9 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
             close_request ~outcome:"shed" rspan;
             Log.warn "priority-evict"
               [
-                ("cid", Obs.Jtext.Int vcid);
-                ("id", Obs.Jtext.Str orig);
-                ("priority", Obs.Jtext.Str vjob.priority);
+                ("cid", Json.Int vcid);
+                ("id", Json.Str orig);
+                ("priority", Json.Str vjob.priority);
               ];
             deliver vcid
               (failed ~retriable:true ~id:orig ~kind:"overloaded"
@@ -1529,7 +1513,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                 Obs.Metrics.incr m_shed;
                 Obs.Metrics.incr m_brownout_shed;
                 Log.warn "brownout-shed"
-                  [ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str job.id) ];
+                  [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
                 send_reply
                   (failed ~retriable:true ~id:job.id ~kind:"overloaded"
                      "brownout: batch work shed under sustained overload; resubmit later")
@@ -1545,7 +1529,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                    [shed_lower_priority] — and is admitted.) *)
                 Obs.Metrics.incr m_shed;
                 Log.warn "shed"
-                  [ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str job.id) ];
+                  [ ("cid", Json.Int cid); ("id", Json.Str job.id) ];
                 send_reply
                   (failed ~retriable:true ~id:job.id ~kind:"overloaded"
                      "queue full (%d jobs); resubmit later" cfg.queue_cap)
@@ -1556,13 +1540,13 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                 let rspan =
                   Trace.open_span
                     ?parent:(Option.bind job.trace Trace.ctx_of_string)
-                    ~args:[ ("cid", Obs.Jtext.Int cid); ("id", Obs.Jtext.Str job.id) ]
+                    ~args:[ ("cid", Json.Int cid); ("id", Json.Str job.id) ]
                     "request"
                 in
                 let digest = Journal.canonical_digest job in
                 match Cache.find cache ~digest ~id:job.id with
                 | Cache.Hit r ->
-                    Trace.instant ~args:[ ("id", Obs.Jtext.Str job.id) ] "cache-hit";
+                    Trace.instant ~args:[ ("id", Json.Str job.id) ] "cache-hit";
                     close_request ~outcome:"cache-hit" rspan;
                     Option.iter
                       (fun jl ->
@@ -1576,7 +1560,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                     Option.iter
                       (fun ms ->
                         Hashtbl.replace deadlines iid
-                          (now_s () +. (float_of_int ms /. 1000.0)))
+                          (Obs.Clock.now () +. (float_of_int ms /. 1000.0)))
                       job.deadline_ms;
                     let trace =
                       match rspan with
@@ -1590,7 +1574,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
   in
   let handle_tev = function
     | Transport.Accepted c ->
-        Trace.instant ~args:[ ("cid", Obs.Jtext.Int (Transport.cid c)) ] "client-accept"
+        Trace.instant ~args:[ ("cid", Json.Int (Transport.cid c)) ] "client-accept"
     | Transport.Line (c, line) ->
         (* Lines split from the same read batch as a poisoning line
            still arrive as events; a closing client's input is dead.
@@ -1605,7 +1589,7 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
            drains to completion, as `serve` always has. *)
         if not (Transport.eof_drains c) then cancel_client c
     | Transport.Overlong c ->
-        Log.warn "overlong-line" [ ("cid", Obs.Jtext.Int (Transport.cid c)) ];
+        Log.warn "overlong-line" [ ("cid", Json.Int (Transport.cid c)) ];
         handle_tevs
           (Transport.send tr c
              (reply_to_json
@@ -1614,10 +1598,10 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
     | Transport.Dead (c, reason) ->
         Trace.instant
           ~args:
-            [ ("cid", Obs.Jtext.Int (Transport.cid c)); ("reason", Obs.Jtext.Str reason) ]
+            [ ("cid", Json.Int (Transport.cid c)); ("reason", Json.Str reason) ]
           "client-dead";
         Log.info "client-dead"
-          [ ("cid", Obs.Jtext.Int (Transport.cid c)); ("reason", Obs.Jtext.Str reason) ];
+          [ ("cid", Json.Int (Transport.cid c)); ("reason", Json.Str reason) ];
         cancel_client c
   in
   tev_handler := handle_tev;
@@ -1701,11 +1685,11 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                                "server draining; resubmit later"))))
               (Admission.cancel adm (Transport.cid c)))
           (Transport.clients tr);
-        let deadline = now_s () +. scfg.drain_grace in
-        while Hashtbl.length owners > 0 && now_s () < deadline do
+        let deadline = Obs.Clock.now () +. scfg.drain_grace in
+        while Hashtbl.length owners > 0 && Obs.Clock.now () < deadline do
           dispatch_ready e;
           let extra_write = Transport.write_fds tr in
-          let timeout = Float.min 0.1 (Float.max 0.01 (deadline -. now_s ())) in
+          let timeout = Float.min 0.1 (Float.max 0.01 (deadline -. Obs.Clock.now ())) in
           List.iter
             (function
               | Pool.Input _ -> ()
@@ -1726,9 +1710,9 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                  "server draining; job did not settle within the grace period"))
           leftovers;
         (* Final flush, bounded: a slow reader does not hold up the exit. *)
-        let flush_deadline = now_s () +. 1.0 in
+        let flush_deadline = Obs.Clock.now () +. 1.0 in
         while
-          now_s () < flush_deadline
+          Obs.Clock.now () < flush_deadline
           && List.exists (fun c -> Transport.pending_out c > 0) (Transport.clients tr)
         do
           let extra_write = Transport.write_fds tr in

@@ -35,10 +35,6 @@ module Transport = Transport
 module Cache = Cache
 module Trace_check = Trace_check
 
-val now_s : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]) — exposed so bench/CLI code
-    outside this subtree needs no [Unix] dependency of its own. *)
-
 val run_job_locally : Proto.job -> Proto.reply
 (** Runs one job in the calling process: parse the database and query,
     apply the job's fault plan (or inherit the ambient one), build the

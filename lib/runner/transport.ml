@@ -14,8 +14,6 @@ let m_client_drops = Obs.Metrics.counter "transport.client_drops"
 let m_partial_writes = Obs.Metrics.counter "transport.partial_writes"
 let m_write_timeouts = Obs.Metrics.counter "transport.write_timeouts"
 
-let now () = Unix.gettimeofday ()
-
 (* The connection state machine:
 
      St_open ──zero-read──▶ St_eof        (reads stop; writes continue)
@@ -147,7 +145,7 @@ let add_client t ?(eof_drains = false) ?(owns_fds = true) ~in_fd ~out_fd () =
       out = Buffer.create 1024;
       out_off = 0;
       cstate = St_open;
-      last_progress = now ();
+      last_progress = Obs.Clock.now ();
     }
   in
   t.next_cid <- t.next_cid + 1;
@@ -227,7 +225,7 @@ let flush_client t c =
     | n ->
         if n > 0 then begin
           c.out_off <- c.out_off + n;
-          c.last_progress <- now ();
+          c.last_progress <- Obs.Clock.now ();
           compact_out c
         end;
         if pending_out c = 0 && c.cstate = St_closing then drop t c;
@@ -243,7 +241,7 @@ let flush_client t c =
 let send t c line =
   if c.cstate = St_dead then []
   else begin
-    if pending_out c = 0 then c.last_progress <- now ();
+    if pending_out c = 0 then c.last_progress <- Obs.Clock.now ();
     Buffer.add_string c.out line;
     Buffer.add_char c.out '\n';
     flush_client t c
@@ -264,7 +262,7 @@ let handle_writable t fd =
    timeout it is dead, not slow. [last_progress] only ticks while bytes
    actually leave, so a client draining slowly but steadily survives. *)
 let check_timeouts t =
-  let t_now = now () in
+  let t_now = Obs.Clock.now () in
   let stalled =
     List.filter
       (fun c ->
@@ -276,7 +274,7 @@ let check_timeouts t =
     (fun c ->
       Obs.Metrics.incr m_write_timeouts;
       Obs.Log.warn "write-timeout"
-        [ ("cid", Obs.Jtext.Int c.ccid); ("timeout_s", Obs.Jtext.Float t.write_timeout) ];
+        [ ("cid", Cert.Json.Int c.ccid); ("timeout_s", Cert.Json.Float t.write_timeout) ];
       let silent = c.cstate = St_closing in
       drop t c;
       if silent then []
@@ -296,7 +294,7 @@ let accept_conn t lfd =
            mid-accept. The client sees an unexplained close and must
            reconnect. *)
         Obs.Metrics.incr m_accept_fails;
-        Obs.Log.warn "accept-fail" [ ("fault", Obs.Jtext.Str "net:accept_fail") ];
+        Obs.Log.warn "accept-fail" [ ("fault", Cert.Json.Str "net:accept_fail") ];
         (try Unix.close fd with Unix.Unix_error _ -> ());
         []
       end
@@ -352,7 +350,7 @@ let client_readable t c =
     (* net:client_drop:N — the connection is severed from the server
        side, mid-stream, exactly as a crashed client looks to us. *)
     Obs.Metrics.incr m_client_drops;
-    Obs.Log.info "client-drop" [ ("cid", Obs.Jtext.Int c.ccid) ];
+    Obs.Log.info "client-drop" [ ("cid", Cert.Json.Int c.ccid) ];
     drop t c;
     [ Dead (c, "net:client_drop fault") ]
   end

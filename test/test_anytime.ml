@@ -251,6 +251,21 @@ let test_budget_slice () =
       Budget.tick parent;
       check "parent alive" true (not (Budget.exhausted parent)))
 
+(* Deadlines count wall-clock time, the clock the supervisor's kill
+   deadline counts too. Sleeping burns no CPU, so a processor-time
+   deadline would still be far off here; 64 ticks reach one clock read. *)
+let test_budget_wall_deadline () =
+  Faults.with_plan Faults.Off (fun () ->
+      let b = Budget.create ~deadline:0.05 () in
+      Unix.sleepf 0.1;
+      check "deadline passed while asleep" true
+        (try
+           for _ = 1 to 64 do
+             Budget.tick b
+           done;
+           false
+         with Budget.Exhausted Budget.Deadline -> true))
+
 let test_budget_memory () =
   let b = Budget.create ~memo_cap:2 () in
   check "admit below cap" true (Budget.memo_admit b 1);
@@ -453,6 +468,7 @@ let () =
           Alcotest.test_case "step exhaustion" `Quick test_budget_steps;
           Alcotest.test_case "unlimited never faults" `Quick test_budget_unlimited;
           Alcotest.test_case "slices charge the parent" `Quick test_budget_slice;
+          Alcotest.test_case "wall-clock deadline" `Quick test_budget_wall_deadline;
           Alcotest.test_case "memory cap" `Quick test_budget_memory;
           Alcotest.test_case "argument validation" `Quick test_budget_validation;
         ] );

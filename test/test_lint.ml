@@ -92,7 +92,7 @@ let clean_fixtures =
     ("module field access", "let f (r : Db.fact) = r.Db.label\n");
     ("Unix in a comment", "(* like Unix.fork *)\nlet x = 1\n");
     ("Unix as an identifier prefix", "let unix_like = 1\nlet f (m : Unix_free.t) = m\n");
-    ("clock via Obs", "let t = Obs.Clock.now () -. Obs.Clock.cpu ()\n");
+    ("clock via Obs", "let t = Obs.Clock.now ()\n");
     ("Sys.time in a comment", "(* cf. Sys.time *)\nlet x = 1\n");
     ("fsync in a comment", "(* the journal calls Unix.fsync here *)\nlet x = 1\n");
     ("fsync-like identifier", "let fsync_policy = 1\nlet lockf_free = 2\n");
@@ -439,6 +439,29 @@ let test_grant_stops_propagation () =
         "no findings once the leaf holds the grant" []
         (List.map Lint.finding_to_string a.Lint.findings))
 
+(* The default policy grants the clock to lib/obs alone among the
+   libraries: a raw clock read planted in the runner is flagged where it
+   stands and again, with a witness path, on every runner module that
+   reaches it. *)
+let test_runner_has_no_clock () =
+  with_tree "rpq_lint_runner_clock_fixture"
+    [
+      ("lib/runner/dune", "(library (name runner) (libraries unix))\n");
+      ("lib/runner/cache.ml", "let stamp () = Unix.gettimeofday ()\n");
+      ("lib/runner/cache.mli", "val stamp : unit -> float\n");
+      ("lib/runner/runner.ml", "let t () = Cache.stamp ()\n");
+      ("lib/runner/runner.mli", "val t : unit -> float\n");
+    ]
+    (fun root ->
+      let a = Lint.analyze ~root ~policy:Lint_policy.default in
+      Alcotest.(check (list (triple string string (list string))))
+        "clock read flagged, and reached"
+        [
+          ("lib/runner/cache.ml", Lint.rule_clock, []);
+          ("lib/runner/runner.ml", Lint.rule_reach, [ "Runner"; "Runner.Cache" ]);
+        ]
+        (List.map (fun f -> (f.Lint.file, f.Lint.rule, f.Lint.path)) a.Lint.findings))
+
 let test_layer_violation () =
   with_tree "rpq_lint_layer_fixture"
     [
@@ -655,6 +678,7 @@ let () =
         [
           Alcotest.test_case "transitive reach witness" `Quick test_transitive_reach;
           Alcotest.test_case "grant stops propagation" `Quick test_grant_stops_propagation;
+          Alcotest.test_case "runner has no clock" `Quick test_runner_has_no_clock;
           Alcotest.test_case "layer violation" `Quick test_layer_violation;
           Alcotest.test_case "exec-deps violation" `Quick test_exec_deps_violation;
           Alcotest.test_case "exec-deps clean" `Quick test_exec_deps_clean;

@@ -1137,9 +1137,9 @@ let test_serve_disconnect_aborts_hedge () =
           serve_journal = Some journal;
         }
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now () in
       Runner.serve_sockets ~preconnected_abrupt:[ srv_fd ] scfg;
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let elapsed = Obs.Clock.now () -. t0 in
       ignore (Unix.waitpid [] pid);
       check "the job was hedged before the disconnect" true
         (counter_count "runner.hedges_total" > hedges0);
