@@ -1,9 +1,12 @@
 (* Benchmark & figure-regeneration harness.
 
    `dune exec bench/main.exe` regenerates every table and figure of the paper
-   (Figures 1-17 as machine-checked artifacts) and then runs Bechamel timing
-   benchmarks validating the complexity claims (Theorem 3.3, Propositions 7.5
-   and 7.7) and the tractable-vs-NP-hard shape.
+   (Figures 1-17 as machine-checked artifacts), checks the tractability
+   theorems value by value, prints the scaling series (Theorem 3.3,
+   Propositions 7.5 and 7.7, the tractable-vs-NP-hard shape) and times the
+   serving stack. The measured sections (the ablations of the pool,
+   journal, serve and hedging layers, and the timing micro-benchmarks)
+   also write their rows to one file, BENCH_ablations.json.
 
    `dune exec bench/main.exe -- figures` or `-- timing` selects a part;
    `-- fig1` etc. selects a single section. *)
@@ -27,12 +30,6 @@ let time_it f =
   let r = f () in
   let t1 = Obs.Clock.now () in
   (r, t1 -. t0)
-
-let section name title f =
-  if selected name then begin
-    Printf.printf "\n==== %s ====\n%!" title;
-    f ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* FIG1: the classification table.                                      *)
@@ -414,12 +411,27 @@ let scaling_submodular () =
     [ 10; 20; 40; 80 ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks.                                          *)
+(* Measured sections: one sampler, one result file.                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The micro-benchmark cases, shared between Bechamel (statistical OLS
-   estimates) and the hand-rolled sampler below (absolute wall-clock
-   medians written to BENCH_pr4.json for cross-commit diffing). *)
+module Json = Cert.Json
+module Proto = Cert.Proto
+
+(* Median and p99 of a sample (sorted in place), by nearest rank:
+   sorted.(ceil(p·n/100) - 1) for [p] in percent. Integer arithmetic
+   keeps the rank exact (p99 of 500 samples is index 494). *)
+let p50_p99 xs =
+  Array.sort compare xs;
+  let percentile p = xs.((((p * Array.length xs) + 99) / 100) - 1) in
+  (percentile 50, percentile 99)
+
+let reply_p50_p99 replies =
+  p50_p99 (Array.of_list (List.map (fun (r : Proto.reply) -> r.Proto.wall_s) replies))
+
+(* Wall-clock times of [f 0] ... [f (n - 1)]. *)
+let samples n f = Array.init n (fun i -> snd (time_it (fun () -> f i)))
+
+(* The micro-benchmark cases of the timing section. *)
 let micro_cases () =
   let grid w = Graphdb.Generate.flow_grid ~width:w ~depth:w ~max_mult:3 ~seed:1 () in
   let layered w =
@@ -450,75 +462,25 @@ let micro_cases () =
     ("GADGET/verify/aa", fun () -> ignore (Gadgets.verify g_aa l_aa));
   ]
 
-let bechamel_tests cases =
-  let open Bechamel in
-  List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases
-
-let run_bechamel cases =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "Bechamel micro-benchmarks (estimated time per run)\n%!";
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~kde:None () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let est =
-            match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> nan
-          in
-          let unit, value =
-            if est > 1e9 then ("s ", est /. 1e9)
-            else if est > 1e6 then ("ms", est /. 1e6)
-            else if est > 1e3 then ("us", est /. 1e3)
-            else ("ns", est)
-          in
-          Printf.printf "  %-42s %10.2f %s/run\n%!" name value unit)
-        results)
-    (bechamel_tests cases)
-
-(* Absolute wall-clock samples over the same cases: 3 warmups, 31 timed
-   runs, median and p99 per section. The machine-readable artifact lets
-   CI diff timings across commits without parsing Bechamel's output. *)
-let write_bench_json cases =
+(* 3 warmups, then 31 timed runs per case. *)
+let timing () =
   let nruns = 31 in
-  let sample f =
-    for _ = 1 to 3 do
-      f ()
-    done;
-    let xs =
-      Array.init nruns (fun _ ->
-          let t0 = Obs.Clock.now () in
-          f ();
-          Obs.Clock.now () -. t0)
-    in
-    Array.sort compare xs;
-    let rank q = min (nruns - 1) (int_of_float (Float.ceil (q *. float_of_int nruns)) - 1) in
-    (xs.(rank 0.5), xs.(rank 0.99))
-  in
-  let open Runner.Proto.Json in
-  let entries =
-    List.map
-      (fun (name, f) ->
-        let median, p99 = sample f in
-        Obj
-          [
-            ("name", Str name); ("n", Int nruns); ("median_s", Float median); ("p99_s", Float p99);
-          ])
-      cases
-  in
-  Out_channel.with_open_text "BENCH_pr4.json" (fun oc ->
-      output_string oc (to_string (List entries));
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr4.json (%d sections, n=%d each)\n%!" (List.length entries) nruns
-
-let run_timing () =
-  let cases = micro_cases () in
-  run_bechamel cases;
-  write_bench_json cases
+  Printf.printf "Wall-clock time per run, %d runs after 3 warmups\n\n" nruns;
+  Printf.printf "  %-30s %14s %14s\n" "case" "median (us)" "p99 (us)";
+  let open Json in
+  List
+    (List.map
+       (fun (name, f) ->
+         for _ = 1 to 3 do
+           f ()
+         done;
+         let median, p99 = p50_p99 (samples nruns (fun _ -> f ())) in
+         Printf.printf "  %-30s %14.2f %14.2f\n%!" name (median *. 1e6) (p99 *. 1e6);
+         Obj
+           [
+             ("name", Str name); ("n", Int nruns); ("median_s", Float median); ("p99_s", Float p99);
+           ])
+       (micro_cases ()))
 
 (* ------------------------------------------------------------------ *)
 (* ABLATION: anytime degradation chain — answer quality vs work budget. *)
@@ -551,67 +513,95 @@ let ablation_anytime () =
       Printf.printf "  %10d  %-28s %.3fs (%d ticks spent)\n%!" steps show dt spent.Budget.steps)
     [ 100; 500; 1_000; 2_000; 5_000; 20_000; 100_000 ]
 
+(* Jobs of the serving ablations: the K5 vertex-cover encoding of `aa`
+   (hard, solved under a step budget) and a two-fact exact solve. *)
+let hard_db =
+  let pre, _ = Gadgets.gadget_aa () in
+  Graphdb.Serialize.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5))
+
+let easy_db = "s a m\nm a t\n"
+
+let job ?(priority = Proto.default_priority) ?(faults = "off") id db steps =
+  {
+    Proto.id;
+    db;
+    query = "aa";
+    budget = { Proto.no_budget with steps };
+    faults = Some faults;
+    deadline_ms = None;
+    priority;
+    trace = None;
+  }
+
+let shed_of replies =
+  List.length
+    (List.filter
+       (fun (r : Proto.reply) ->
+         match r.Proto.verdict with
+         | Proto.V_failed { kind = "overloaded"; _ } -> true
+         | _ -> false)
+       replies)
+
+(* Drive [Runner.serve_sockets] end to end: each client pre-writes its
+   job lines on its socketpair end and half-closes; each client's replies
+   are read back after the server returns. An unparsable reply aborts the
+   run rather than thin the count. *)
+let serve_clients scfg jobs_per_client =
+  let ends = List.map (fun _ -> Runner.Transport.pair ()) jobs_per_client in
+  let chans = List.map (fun (_, fd) -> Runner.Transport.channels_of_fd fd) ends in
+  List.iter2
+    (fun (_, oc) js ->
+      List.iter (fun j -> output_string oc (Proto.job_to_wire_json j ^ "\n")) js;
+      Runner.Transport.shutdown_send oc)
+    chans jobs_per_client;
+  let (), wall =
+    time_it (fun () -> Runner.serve_sockets ~preconnected:(List.map fst ends) scfg)
+  in
+  let read (ic, oc) =
+    let rec rd acc =
+      match input_line ic with
+      | line -> (
+          match Proto.reply_of_json line with
+          | Ok r -> rd (r :: acc)
+          | Error e -> failwith (Printf.sprintf "malformed reply %S: %s" line e))
+      | exception End_of_file ->
+          close_in ic;
+          close_out_noerr oc;
+          List.rev acc
+    in
+    rd []
+  in
+  (wall, List.map read chans)
+
 let ablation_pool () =
   Printf.printf
     "Supervised pool throughput on a mixed job file (easy exact solves, budgeted hard\n\
-     solves, and one kill:50 crasher that must degrade through retries), vs worker count.\n\
-     Machine-readable: one `BENCH {json}` line per configuration.\n\n";
-  let pre, _ = Gadgets.gadget_aa () in
-  let hard_db = Graphdb.Serialize.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5)) in
-  let easy_db = "s a m\nm a t\n" in
-  let job id db steps faults =
-    {
-      Runner.Proto.id;
-      db;
-      query = "aa";
-      budget = { Runner.Proto.no_budget with steps };
-      faults;
-      deadline_ms = None;
-      priority = Runner.Proto.default_priority;
-      trace = None;
-    }
-  in
+     solves, and one kill:50 crasher that must degrade through retries), vs worker count.\n\n";
   let jobs =
-    List.init 24 (fun i -> job (Printf.sprintf "easy%d" i) easy_db None (Some "off"))
-    @ List.init 11 (fun i -> job (Printf.sprintf "hard%d" i) hard_db (Some 400) (Some "off"))
-    @ [ job "crash" hard_db (Some 1000) (Some "kill:50") ]
+    List.init 24 (fun i -> job (Printf.sprintf "easy%d" i) easy_db None)
+    @ List.init 11 (fun i -> job (Printf.sprintf "hard%d" i) hard_db (Some 400))
+    @ [ job "crash" hard_db (Some 1000) ~faults:"kill:50" ]
   in
   let njobs = List.length jobs in
-  let percentile sorted p =
-    sorted.(min (Array.length sorted - 1) (int_of_float (p *. float_of_int (Array.length sorted))))
-  in
   Printf.printf "  %8s %10s %12s %10s %10s %10s\n" "workers" "jobs" "wall (s)" "jobs/s" "p50 (s)"
     "p99 (s)";
-  List.iter
-    (fun workers ->
-      let cfg = { Runner.default_config with Runner.workers; retries = 3; backoff = 0.005 } in
-      let t0 = Obs.Clock.now () in
-      let replies, stats = Runner.run_batch cfg jobs in
-      let wall = Obs.Clock.now () -. t0 in
-      let lat =
-        List.map (fun (r : Runner.Proto.reply) -> r.Runner.Proto.wall_s) replies
-        |> Array.of_list
-      in
-      Array.sort compare lat;
-      let p50 = percentile lat 0.50 and p99 = percentile lat 0.99 in
-      let rate = float_of_int njobs /. wall in
-      Printf.printf "  %8d %10d %12.3f %10.1f %10.4f %10.4f  (%d failures)\n%!" workers njobs
-        wall rate p50 p99 stats.Runner.failures;
-      let open Runner.Proto.Json in
-      Printf.printf "BENCH %s\n%!"
-        (to_string
-           (Obj
-              [
-                ("bench", Str "pool_throughput");
-                ("workers", Int workers);
-                ("jobs", Int njobs);
-                ("wall_s", Float wall);
-                ("jobs_per_s", Float rate);
-                ("p50_s", Float p50);
-                ("p99_s", Float p99);
-                ("failures", Int stats.Runner.failures);
-              ])))
-    [ 1; 2; 4; 8 ]
+  let open Json in
+  List
+    (List.map
+       (fun workers ->
+         let cfg = { Runner.default_config with Runner.workers; retries = 3; backoff = 0.005 } in
+         let (replies, stats), wall = time_it (fun () -> Runner.run_batch cfg jobs) in
+         let p50, p99 = reply_p50_p99 replies in
+         let rate = float_of_int njobs /. wall in
+         Printf.printf "  %8d %10d %12.3f %10.1f %10.4f %10.4f  (%d failures)\n%!" workers njobs
+           wall rate p50 p99 stats.Runner.failures;
+         Obj
+           [
+             ("workers", Int workers); ("jobs", Int njobs); ("wall_s", Float wall);
+             ("jobs_per_s", Float rate); ("p50_s", Float p50); ("p99_s", Float p99);
+             ("failures", Int stats.Runner.failures);
+           ])
+       [ 1; 2; 4; 8 ])
 
 (* ------------------------------------------------------------------ *)
 (* ABLATION: journal durability — sync policy, recovery, compaction.   *)
@@ -621,10 +611,9 @@ let ablation_journal () =
   Printf.printf
     "Journal v2 ablation: per-append cost of each sync policy (Never / Per_line /\n\
      Per_job over Done records, so Per_job actually fsyncs), recovery (load) time vs\n\
-     journal size, and the compaction ratio on a heavily superseded journal.\n\
-     Machine-readable: BENCH_pr5.json.\n\n";
+     journal size, and the compaction ratio on a heavily superseded journal.\n\n";
   let module J = Runner.Journal in
-  let open Runner.Proto.Json in
+  let open Json in
   let with_temp f =
     let path = Filename.temp_file "rpq_bench_journal" ".jnl" in
     Fun.protect
@@ -637,12 +626,8 @@ let ablation_journal () =
       {
         id;
         digest = "bench-digest";
-        reply = Runner.Proto.failed ~id ~kind:"bench" "journal ablation payload";
+        reply = Proto.failed ~id ~kind:"bench" "journal ablation payload";
       }
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
   in
   (* Per-append latency under each sync policy. *)
   let nappends = 201 in
@@ -660,17 +645,10 @@ let ablation_journal () =
             for i = 1 to 8 do
               J.append j (done_entry (Printf.sprintf "warm%d" i))
             done;
-            let xs =
-              Array.init nappends (fun i ->
-                  let e = done_entry (Printf.sprintf "job%d" i) in
-                  let t0 = Obs.Clock.now () in
-                  J.append j e;
-                  Obs.Clock.now () -. t0)
-            in
-            let total = Array.fold_left ( +. ) 0.0 xs in
-            Array.sort compare xs;
-            let median = percentile xs 0.5 and p99 = percentile xs 0.99 in
-            let rate = float_of_int nappends /. total in
+            let entries = Array.init nappends (fun i -> done_entry (Printf.sprintf "job%d" i)) in
+            let xs = samples nappends (fun i -> J.append j entries.(i)) in
+            let rate = float_of_int nappends /. Array.fold_left ( +. ) 0.0 xs in
+            let median, p99 = p50_p99 xs in
             Printf.printf "  %-10s %10d %14.6f %14.6f %14.0f\n%!" (sync_name sync) nappends
               median p99 rate;
             Obj
@@ -714,8 +692,7 @@ let ablation_journal () =
         let j = match J.open_append ~sync:J.Never path with
           | Ok j -> j | Error e -> failwith e
         in
-        for v = 1 to 8 do
-          ignore v;
+        for _ = 1 to 8 do
           for i = 1 to 50 do
             J.append j (done_entry (Printf.sprintf "job%d" i))
           done
@@ -740,16 +717,11 @@ let ablation_journal () =
             ("compact_s", Float compact_s);
           ])
   in
-  Out_channel.with_open_text "BENCH_pr5.json" (fun oc ->
-      output_string oc
-        (to_string
-           (Obj
-              [
-                ("append", List append_rows); ("recovery", List recovery_rows);
-                ("compaction", compaction_row);
-              ]));
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr5.json\n%!"
+  Obj
+    [
+      ("append", List append_rows); ("recovery", List recovery_rows);
+      ("compaction", compaction_row);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* ABLATION: multi-client serve — cache, throughput, shedding.         *)
@@ -759,59 +731,8 @@ let ablation_serve () =
   Printf.printf
     "Serve ablation: certificate-gated cache hit vs recompute latency, throughput vs\n\
      concurrent client count over pre-connected socketpairs, and the shed rate when\n\
-     the admission queue saturates.\n\
-     Machine-readable: BENCH_pr8.json.\n\n";
-  let open Runner.Proto.Json in
-  let percentile sorted q =
-    sorted.(min (Array.length sorted - 1) (int_of_float (q *. float_of_int (Array.length sorted))))
-  in
-  let pre, _ = Gadgets.gadget_aa () in
-  let hard_db = Graphdb.Serialize.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5)) in
-  let easy_db = "s a m\nm a t\n" in
-  let job id db steps =
-    {
-      Runner.Proto.id;
-      db;
-      query = "aa";
-      budget = { Runner.Proto.no_budget with steps };
-      faults = Some "off";
-      deadline_ms = None;
-      priority = Runner.Proto.default_priority;
-      trace = None;
-    }
-  in
-  (* Drive serve_sockets end-to-end: each client pre-writes its job
-     lines on its socketpair end and half-closes; replies are read back
-     after the server returns. *)
-  let serve_clients scfg jobs_per_client =
-    let ends = List.map (fun _ -> Runner.Transport.pair ()) jobs_per_client in
-    let chans = List.map (fun (_, fd) -> Runner.Transport.channels_of_fd fd) ends in
-    List.iter2
-      (fun (_, oc) js ->
-        List.iter (fun j -> output_string oc (Runner.Proto.job_to_json j ^ "\n")) js;
-        Runner.Transport.shutdown_send oc)
-      chans jobs_per_client;
-    let (), wall =
-      time_it (fun () -> Runner.serve_sockets ~preconnected:(List.map fst ends) scfg)
-    in
-    let replies =
-      List.concat_map
-        (fun (ic, oc) ->
-          let rec rd acc =
-            match input_line ic with
-            | line -> rd (line :: acc)
-            | exception End_of_file ->
-                close_in ic;
-                close_out_noerr oc;
-                List.rev acc
-          in
-          List.filter_map
-            (fun line -> Result.to_option (Runner.Proto.reply_of_json line))
-            (rd []))
-        chans
-    in
-    (wall, replies)
-  in
+     the admission queue saturates.\n\n";
+  let open Json in
   (* 1. Cache hit (certificate re-check included) vs recompute, on a
      budgeted hard solve. *)
   let jh = job "h" hard_db (Some 400) in
@@ -819,18 +740,15 @@ let ablation_serve () =
   let reply = Runner.run_job_locally jh in
   let cache = Runner.Cache.create ~entries:16 in
   Runner.Cache.store cache ~digest reply;
-  let time_many n f = Array.init n (fun _ -> snd (time_it f)) in
   let hit_lat =
-    time_many 500 (fun () ->
+    samples 500 (fun _ ->
         match Runner.Cache.find cache ~digest ~id:"x" with
         | Runner.Cache.Hit _ -> ()
         | Runner.Cache.Miss | Runner.Cache.Cert_reject _ -> ())
   in
-  let miss_lat = time_many 40 (fun () -> ignore (Runner.run_job_locally jh)) in
-  Array.sort compare hit_lat;
-  Array.sort compare miss_lat;
-  let hit_p50 = percentile hit_lat 0.50 and hit_p99 = percentile hit_lat 0.99 in
-  let miss_p50 = percentile miss_lat 0.50 and miss_p99 = percentile miss_lat 0.99 in
+  let miss_lat = samples 40 (fun _ -> ignore (Runner.run_job_locally jh)) in
+  let hit_p50, hit_p99 = p50_p99 hit_lat in
+  let miss_p50, miss_p99 = p50_p99 miss_lat in
   Printf.printf "  cache hit   p50 %.6fs  p99 %.6fs  (n=%d, cert re-checked per hit)\n"
     hit_p50 hit_p99 (Array.length hit_lat);
   Printf.printf "  recompute   p50 %.6fs  p99 %.6fs  (n=%d)\n%!" miss_p50 miss_p99
@@ -863,11 +781,12 @@ let ablation_serve () =
         in
         let scfg = { Runner.default_serve_config with Runner.base = base; cache_entries = 0 } in
         let wall, replies = serve_clients scfg per_client in
-        let rate = float_of_int (List.length replies) /. wall in
-        Printf.printf "  %8d %10d %12.3f %10.1f\n%!" nclients (List.length replies) wall rate;
+        let njobs = List.length (List.concat replies) in
+        let rate = float_of_int njobs /. wall in
+        Printf.printf "  %8d %10d %12.3f %10.1f\n%!" nclients njobs wall rate;
         Obj
           [
-            ("clients", Int nclients); ("jobs", Int (List.length replies));
+            ("clients", Int nclients); ("jobs", Int njobs);
             ("wall_s", Float wall); ("jobs_per_s", Float rate);
           ])
       [ 1; 2; 4; 8 ]
@@ -876,22 +795,15 @@ let ablation_serve () =
      clients; retriable `overloaded' replies are the safety valve. *)
   let overload_jobs = List.init 32 (fun i -> job (Printf.sprintf "o%d" i) easy_db None) in
   let per_client = List.init 4 (fun c ->
-      List.map (fun (j : Runner.Proto.job) ->
-          { j with Runner.Proto.id = Printf.sprintf "c%d_%s" c j.Runner.Proto.id })
+      List.map (fun (j : Proto.job) ->
+          { j with Proto.id = Printf.sprintf "c%d_%s" c j.Proto.id })
         overload_jobs)
   in
   let base = { Runner.default_config with Runner.workers = 2; retries = 0; queue_cap = 8 } in
   let scfg = { Runner.default_serve_config with Runner.base = base; cache_entries = 0 } in
   let wall, replies = serve_clients scfg per_client in
-  let shed =
-    List.length
-      (List.filter
-         (fun (r : Runner.Proto.reply) ->
-           match r.Runner.Proto.verdict with
-           | Runner.Proto.V_failed { kind = "overloaded"; _ } -> true
-           | _ -> false)
-         replies)
-  in
+  let replies = List.concat replies in
+  let shed = shed_of replies in
   let nreplies = List.length replies in
   let shed_rate = float_of_int shed /. float_of_int (max 1 nreplies) in
   Printf.printf
@@ -904,43 +816,14 @@ let ablation_serve () =
         ("shed", Int shed); ("shed_rate", Float shed_rate); ("wall_s", Float wall);
       ]
   in
-  Out_channel.with_open_text "BENCH_pr8.json" (fun oc ->
-      output_string oc
-        (to_string
-           (Obj
-              [
-                ("cache", cache_row); ("throughput", List throughput_rows);
-                ("shedding", shed_row);
-              ]));
-      output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr8.json\n%!"
+  Obj [ ("cache", cache_row); ("throughput", List throughput_rows); ("shedding", shed_row) ]
 
 let ablation_hedge () =
   Printf.printf
     "Hedging / overload ablation: per-job latency with certificate-gated hedging off\n\
      vs on under a deterministic wedge mix (the parity claim: identical settlements,\n\
-     wall clock aside), and the shed rate by priority class at ~2x queue overload.\n\
-     Machine-readable: BENCH_pr10.json.\n\n";
-  let open Runner.Proto.Json in
-  let percentile sorted q =
-    sorted.(min (Array.length sorted - 1) (int_of_float (q *. float_of_int (Array.length sorted))))
-  in
-  let pre, _ = Gadgets.gadget_aa () in
-  let hard_db = Graphdb.Serialize.to_string (Gadgets.encode pre (Graphs.Ugraph.complete 5)) in
-  let easy_db = "s a m\nm a t\n" in
-  let job ?deadline_ms ?(priority = Runner.Proto.default_priority) ?(faults = "off") id db
-      steps =
-    {
-      Runner.Proto.id;
-      db;
-      query = "aa";
-      budget = { Runner.Proto.no_budget with steps };
-      faults = Some faults;
-      deadline_ms;
-      priority;
-      trace = None;
-    }
-  in
+     wall clock aside), and the shed rate by priority class at ~2x queue overload.\n\n";
+  let open Json in
   (* 1. Hedging off vs on over one batch: every third job wedges at tick
      50 (so it burns wall timeout + grace per attempt until degradation
      preempts the wedge), the rest are clean. The hedge duplicates the
@@ -965,13 +848,6 @@ let ablation_hedge () =
       hedge_after;
     }
   in
-  let latencies replies =
-    let a =
-      Array.of_list (List.map (fun (r : Runner.Proto.reply) -> r.Runner.Proto.wall_s) replies)
-    in
-    Array.sort compare a;
-    a
-  in
   let hedge_counter = Obs.Metrics.counter "runner.hedges_total" in
   let win_counter = Obs.Metrics.counter "runner.hedge_wins_total" in
   let off_replies, _ = Runner.run_batch (cfg None) (mix ()) in
@@ -979,14 +855,11 @@ let ablation_hedge () =
   let on_replies, _ = Runner.run_batch (cfg (Some 0.02)) (mix ()) in
   let hedges = Obs.Metrics.count hedge_counter - hedges0 in
   let wins = Obs.Metrics.count win_counter - wins0 in
-  let off_lat = latencies off_replies and on_lat = latencies on_replies in
-  let off_p50 = percentile off_lat 0.50 and off_p99 = percentile off_lat 0.99 in
-  let on_p50 = percentile on_lat 0.50 and on_p99 = percentile on_lat 0.99 in
-  let parity =
-    List.for_all2 Runner.Proto.reply_equal_ignoring_time off_replies on_replies
-  in
+  let off_p50, off_p99 = reply_p50_p99 off_replies in
+  let on_p50, on_p99 = reply_p50_p99 on_replies in
+  let parity = List.for_all2 Proto.reply_equal_ignoring_time off_replies on_replies in
   Printf.printf "  hedging off  p50 %.4fs  p99 %.4fs  (n=%d)\n" off_p50 off_p99
-    (Array.length off_lat);
+    (List.length off_replies);
   Printf.printf "  hedging on   p50 %.4fs  p99 %.4fs  (%d hedges, %d wins)\n" on_p50 on_p99
     hedges wins;
   Printf.printf "  settlement parity (modulo wall clock): %b\n%!" parity;
@@ -1012,50 +885,13 @@ let ablation_hedge () =
             job (Printf.sprintf "%s%d" cls i) hard_db (Some 200) ~priority:cls))
       classes
   in
-  let base =
-    { Runner.default_config with Runner.workers = 1; retries = 0; queue_cap }
-  in
-  let scfg =
-    { Runner.default_serve_config with Runner.base = base; cache_entries = 0 }
-  in
-  let ends = List.map (fun _ -> Runner.Transport.pair ()) per_client in
-  let chans = List.map (fun (_, fd) -> Runner.Transport.channels_of_fd fd) ends in
-  List.iter2
-    (fun (_, oc) js ->
-      List.iter
-        (fun j -> output_string oc (Runner.Proto.job_to_wire_json j ^ "\n"))
-        js;
-      Runner.Transport.shutdown_send oc)
-    chans per_client;
-  let (), wall =
-    time_it (fun () -> Runner.serve_sockets ~preconnected:(List.map fst ends) scfg)
-  in
-  let shed_of replies =
-    List.length
-      (List.filter
-         (fun (r : Runner.Proto.reply) ->
-           match r.Runner.Proto.verdict with
-           | Runner.Proto.V_failed { kind = "overloaded"; _ } -> true
-           | _ -> false)
-         replies)
-  in
+  let base = { Runner.default_config with Runner.workers = 1; retries = 0; queue_cap } in
+  let scfg = { Runner.default_serve_config with Runner.base = base; cache_entries = 0 } in
+  let wall, replies_by_class = serve_clients scfg per_client in
   Printf.printf "\n  %12s %6s %6s %10s\n" "class" "jobs" "shed" "shed rate";
   let class_rows =
     List.map2
-      (fun cls (ic, oc) ->
-        let rec rd acc =
-          match input_line ic with
-          | line -> rd (line :: acc)
-          | exception End_of_file ->
-              close_in ic;
-              close_out_noerr oc;
-              List.rev acc
-        in
-        let replies =
-          List.filter_map
-            (fun line -> Result.to_option (Runner.Proto.reply_of_json line))
-            (rd [])
-        in
+      (fun cls replies ->
         let shed = shed_of replies in
         let rate = float_of_int shed /. float_of_int (max 1 (List.length replies)) in
         Printf.printf "  %12s %6d %6d %9.1f%%\n%!" cls (List.length replies) shed
@@ -1065,66 +901,92 @@ let ablation_hedge () =
             ("class", Str cls); ("jobs", Int (List.length replies));
             ("shed", Int shed); ("shed_rate", Float rate);
           ])
-      classes chans
+      classes replies_by_class
   in
   Printf.printf "  overload wall: %.3fs (queue cap %d, %d jobs)\n%!" wall queue_cap
     (3 * per_class);
-  Out_channel.with_open_text "BENCH_pr10.json" (fun oc ->
-      output_string oc
-        (to_string
-           (Obj
-              [
-                ("hedging", hedging_row);
-                ( "priority_shedding",
-                  Obj
-                    [
-                      ("queue_cap", Int queue_cap); ("workers", Int 1);
-                      ("jobs", Int (3 * per_class)); ("wall_s", Float wall);
-                      ("classes", List class_rows);
-                    ] );
-              ]));
+  Obj
+    [
+      ("hedging", hedging_row);
+      ( "priority_shedding",
+        Obj
+          [
+            ("queue_cap", Int queue_cap); ("workers", Int 1);
+            ("jobs", Int (3 * per_class)); ("wall_s", Float wall);
+            ("classes", List class_rows);
+          ] );
+    ]
+
+(* A section either prints (figures, value checks, scaling series) or
+   measures; a measured section's rows go into the one result file. *)
+type run = Show of (unit -> unit) | Measure of (unit -> Json.t)
+
+(* Wall times are only comparable next to the core count they ran on. *)
+let write_results results =
+  let doc =
+    Json.Obj
+      [ ("nproc", Json.Int (Domain.recommended_domain_count ())); ("sections", Json.Obj results) ]
+  in
+  Out_channel.with_open_text "BENCH_ablations.json" (fun oc ->
+      output_string oc (Json.to_string doc);
       output_char oc '\n');
-  Printf.printf "  wrote BENCH_pr10.json\n%!"
+  Printf.printf "\nwrote BENCH_ablations.json (%s)\n" (String.concat ", " (List.map fst results))
 
 let () =
-  section "fig1" "FIG1: classification table" fig1;
-  section "fig2" "FIG2: example automata" fig2;
-  section "fig3" "FIG3: gadgets for aa and axb|cxd" fig3;
-  section "fig4" "FIG4: endpoint graphs" fig4;
-  section "fig5" "FIG5: vertex-cover encoding" fig5;
-  section "fig6" "FIG6: hypergraph of matches for axb|cxd" fig6;
-  section "fig7_8" "FIG7-8: four-legged gadgets (Thm 5.5)" fig7_8;
-  section "fig9_10" "FIG9-10: repeated-letter gadgets (Lemma E.4)" fig9_10;
-  section "fig11" "FIG11: aba|bab gadget (Claim E.8)" (fun () ->
-      fig_gadget "Figure 11" "aba|bab (Fig 11)");
-  section "fig12" "FIG12: aaa gadget (Claim E.9)" (fun () ->
-      fig_gadget "Figure 12" "aaa (Fig 12)");
-  section "fig13" "FIG13: aab gadget (Claim E.12)" (fun () ->
-      fig_gadget "Figure 13" "aab (Fig 13)");
-  section "fig14" "FIG14: ax(eta)ya|yax gadgets (Claim E.11)" (fun () ->
-      fig_gadget "Figure 14 (eta = empty)" "axya|yax (Fig 14)";
-      fig_gadget "Figure 14 (eta = c)" "axcya|yax (Fig 14)");
-  section "fig15" "FIG15: ab|bc|ca gadget (Prop 7.6)" (fun () ->
-      fig_gadget "Figure 15" "ab|bc|ca (Fig 15)");
-  section "fig16_17" "FIG16-17: abcd|be|ef and abcd|bef gadgets (Prop 7.8)" (fun () ->
-      fig_gadget "Figure 16" "abcd|be|ef (Fig 16)";
-      fig_gadget "Figure 17" "abcd|bef (Fig 17)");
-  section "thm33" "THM3.3: MinCut solver value checks" thm33_check;
-  section "prop75" "PROP7.5: BCL solver value checks" prop75_check;
-  section "prop77" "PROP7.7: submodular solver value checks" prop77_check;
-  section "set_bag" "SET=BAG: semantics coherence" set_bag_check;
-  section "thm61" "THM6.1: executable case analysis" thm61_demo;
-  section "open_cases" "OPEN CASES: bounded gadget search" open_cases;
-  section "ablation_flow" "ABLATION: Dinic vs push-relabel" ablation_flow;
-  section "ablation_solvers" "ABLATION: exact solvers and the LP bound" ablation_solvers;
-  section "ablation_chain" "ABLATION: Lemma F.2 extraction vs determinization" ablation_chain_extraction;
-  section "ablation_anytime" "ABLATION: anytime bounds vs work budget" ablation_anytime;
-  section "ablation_pool" "ABLATION: supervised pool throughput vs worker count" ablation_pool;
-  section "ablation_journal" "ABLATION: journal sync policy, recovery, compaction" ablation_journal;
-  section "ablation_serve" "ABLATION: multi-client serve, cache, shedding" ablation_serve;
-  section "ablation_hedge" "ABLATION: hedging latency/parity, shed rate by priority" ablation_hedge;
-  section "scaling_submodular" "SCALING: Proposition 7.7" scaling_submodular;
-  section "scaling_local" "SCALING: Theorem 3.3" scaling_local;
-  section "scaling_bcl" "SCALING: Proposition 7.5" scaling_bcl;
-  section "scaling_hard" "SCALING: hardness shape" scaling_hardness;
-  section "timing" "TIMING: Bechamel micro-benchmarks" run_timing
+  let gadgets figs = Show (fun () -> List.iter (fun (fig, name) -> fig_gadget fig name) figs) in
+  let gadget fig name = gadgets [ (fig, name) ] in
+  let results =
+    List.filter_map
+      (fun (name, title, run) ->
+        if not (selected name) then None
+        else begin
+          Printf.printf "\n==== %s ====\n%!" title;
+          match run with
+          | Show f -> f (); None
+          | Measure f -> Some (name, f ())
+        end)
+      [
+        ("fig1", "FIG1: classification table", Show fig1);
+        ("fig2", "FIG2: example automata", Show fig2);
+        ("fig3", "FIG3: gadgets for aa and axb|cxd", Show fig3);
+        ("fig4", "FIG4: endpoint graphs", Show fig4);
+        ("fig5", "FIG5: vertex-cover encoding", Show fig5);
+        ("fig6", "FIG6: hypergraph of matches for axb|cxd", Show fig6);
+        ("fig7_8", "FIG7-8: four-legged gadgets (Thm 5.5)", Show fig7_8);
+        ("fig9_10", "FIG9-10: repeated-letter gadgets (Lemma E.4)", Show fig9_10);
+        ("fig11", "FIG11: aba|bab gadget (Claim E.8)", gadget "Figure 11" "aba|bab (Fig 11)");
+        ("fig12", "FIG12: aaa gadget (Claim E.9)", gadget "Figure 12" "aaa (Fig 12)");
+        ("fig13", "FIG13: aab gadget (Claim E.12)", gadget "Figure 13" "aab (Fig 13)");
+        ( "fig14", "FIG14: ax(eta)ya|yax gadgets (Claim E.11)",
+          gadgets
+            [ ("Figure 14 (eta = empty)", "axya|yax (Fig 14)");
+              ("Figure 14 (eta = c)", "axcya|yax (Fig 14)") ] );
+        ("fig15", "FIG15: ab|bc|ca gadget (Prop 7.6)", gadget "Figure 15" "ab|bc|ca (Fig 15)");
+        ( "fig16_17", "FIG16-17: abcd|be|ef and abcd|bef gadgets (Prop 7.8)",
+          gadgets [ ("Figure 16", "abcd|be|ef (Fig 16)"); ("Figure 17", "abcd|bef (Fig 17)") ] );
+        ("thm33", "THM3.3: MinCut solver value checks", Show thm33_check);
+        ("prop75", "PROP7.5: BCL solver value checks", Show prop75_check);
+        ("prop77", "PROP7.7: submodular solver value checks", Show prop77_check);
+        ("set_bag", "SET=BAG: semantics coherence", Show set_bag_check);
+        ("thm61", "THM6.1: executable case analysis", Show thm61_demo);
+        ("open_cases", "OPEN CASES: bounded gadget search", Show open_cases);
+        ("ablation_flow", "ABLATION: Dinic vs push-relabel", Show ablation_flow);
+        ("ablation_solvers", "ABLATION: exact solvers and the LP bound", Show ablation_solvers);
+        ( "ablation_chain", "ABLATION: Lemma F.2 extraction vs determinization",
+          Show ablation_chain_extraction );
+        ("ablation_anytime", "ABLATION: anytime bounds vs work budget", Show ablation_anytime);
+        ( "ablation_pool", "ABLATION: supervised pool throughput vs worker count",
+          Measure ablation_pool );
+        ( "ablation_journal", "ABLATION: journal sync policy, recovery, compaction",
+          Measure ablation_journal );
+        ("ablation_serve", "ABLATION: multi-client serve, cache, shedding", Measure ablation_serve);
+        ( "ablation_hedge", "ABLATION: hedging latency/parity, shed rate by priority",
+          Measure ablation_hedge );
+        ("scaling_submodular", "SCALING: Proposition 7.7", Show scaling_submodular);
+        ("scaling_local", "SCALING: Theorem 3.3", Show scaling_local);
+        ("scaling_bcl", "SCALING: Proposition 7.5", Show scaling_bcl);
+        ("scaling_hard", "SCALING: hardness shape", Show scaling_hardness);
+        ("timing", "TIMING: micro-benchmark samples", Measure timing);
+      ]
+  in
+  match results with [] -> () | _ -> write_results results

@@ -131,24 +131,24 @@ let solve_json ~db_file ~query ~timeout ~steps ~memo_cap =
   | db ->
       let job =
         {
-          Runner.Proto.id = db_file;
+          Cert.Proto.id = db_file;
           db;
           query;
-          budget = { Runner.Proto.deadline = timeout; steps; memo_cap };
+          budget = { Cert.Proto.deadline = timeout; steps; memo_cap };
           faults = None;
           deadline_ms = None;
-          priority = Runner.Proto.default_priority;
+          priority = Cert.Proto.default_priority;
           trace = None;
         }
       in
       let t0 = Obs.Clock.now () in
       let r = Runner.run_job_locally job in
-      let r = { r with Runner.Proto.wall_s = Obs.Clock.now () -. t0 } in
-      print_endline (Runner.Proto.reply_to_json r);
-      (match r.Runner.Proto.verdict with
-      | Runner.Proto.V_exact _ -> 0
-      | Runner.Proto.V_bounded _ -> exit_bounded
-      | Runner.Proto.V_failed _ -> exit_input_error)
+      let r = { r with Cert.Proto.wall_s = Obs.Clock.now () -. t0 } in
+      print_endline (Cert.Proto.reply_to_json r);
+      (match r.Cert.Proto.verdict with
+      | Cert.Proto.V_exact _ -> 0
+      | Cert.Proto.V_bounded _ -> exit_bounded
+      | Cert.Proto.V_failed _ -> exit_input_error)
 
 let print_fact_removals db names w =
   List.iter
@@ -364,8 +364,8 @@ let certify_cmd =
      as its certificate. *)
   let run_json s l =
     let emit c_verdict c_cert =
-      print_endline (Runner.Proto.classification_to_json
-                       { Runner.Proto.c_language = s; c_verdict; c_cert })
+      print_endline (Cert.Proto.classification_to_json
+                       { Cert.Proto.c_language = s; c_verdict; c_cert })
     in
     match Hardness.thm61_gadget l with
     | Ok o -> begin
@@ -553,7 +553,7 @@ let parse_jobfile path =
         let* budget, faults, deadline_ms, priority =
           List.fold_left
             (fun acc opt ->
-              let* (b : Runner.Proto.budget_spec), faults, dl, prio = acc in
+              let* (b : Cert.Proto.budget_spec), faults, dl, prio = acc in
               let bad () =
                 Error (Printf.sprintf "%s:%d: bad job option %S" path lineno opt)
               in
@@ -566,17 +566,17 @@ let parse_jobfile path =
                   | "timeout" -> (
                       match float_of_string_opt v with
                       | Some f when Float.is_finite f && f >= 0.0 ->
-                          Ok ({ b with Runner.Proto.deadline = Some f }, faults, dl, prio)
+                          Ok ({ b with Cert.Proto.deadline = Some f }, faults, dl, prio)
                       | _ -> bad ())
                   | "steps" -> (
                       match int_of_string_opt v with
                       | Some n when n >= 0 ->
-                          Ok ({ b with Runner.Proto.steps = Some n }, faults, dl, prio)
+                          Ok ({ b with Cert.Proto.steps = Some n }, faults, dl, prio)
                       | _ -> bad ())
                   | "memo" -> (
                       match int_of_string_opt v with
                       | Some n when n >= 0 ->
-                          Ok ({ b with Runner.Proto.memo_cap = Some n }, faults, dl, prio)
+                          Ok ({ b with Cert.Proto.memo_cap = Some n }, faults, dl, prio)
                       | _ -> bad ())
                   | "faults" -> (
                       match Faults.parse v with
@@ -587,15 +587,15 @@ let parse_jobfile path =
                       | Some ms when ms >= 0 -> Ok (b, faults, Some ms, prio)
                       | _ -> bad ())
                   | "priority" ->
-                      if List.mem v Runner.Proto.priorities then Ok (b, faults, dl, v) else bad ()
+                      if List.mem v Cert.Proto.priorities then Ok (b, faults, dl, v) else bad ()
                   | _ -> bad ()))
-            (Ok (Runner.Proto.no_budget, None, None, Runner.Proto.default_priority))
+            (Ok (Cert.Proto.no_budget, None, None, Cert.Proto.default_priority))
             opts
         in
         Ok
           (Some
              {
-               Runner.Proto.id = Printf.sprintf "j%d" lineno;
+               Cert.Proto.id = Printf.sprintf "j%d" lineno;
                db;
                query = regex;
                budget;
@@ -714,7 +714,7 @@ let batch_cmd =
                (exit 2, file:line in the message), not a crash. *)
             | exception Invalid_argument e -> input_error "%s" e
             | replies, stats ->
-                List.iter (fun r -> print_endline (Runner.Proto.reply_to_json r)) replies;
+                List.iter (fun r -> print_endline (Cert.Proto.reply_to_json r)) replies;
                 Printf.eprintf "batch: %d jobs (%d run, %d resumed), %d failures\n%!"
                   (List.length replies) stats.Runner.ran stats.Runner.resumed
                   stats.Runner.failures;
@@ -1012,7 +1012,7 @@ let submit_cmd =
   let priority_arg =
     Arg.(
       value
-      & opt (some (enum (List.map (fun p -> (p, p)) Runner.Proto.priorities))) None
+      & opt (some (enum (List.map (fun p -> (p, p)) Cert.Proto.priorities))) None
       & info [ "priority" ] ~docv:"CLASS"
           ~doc:
             "Stamp this priority class ($(b,batch), $(b,normal) or $(b,interactive)) on every \
@@ -1033,16 +1033,16 @@ let submit_cmd =
         | Ok jobs -> begin
             let jobs =
               List.map
-                (fun (j : Runner.Proto.job) ->
+                (fun (j : Cert.Proto.job) ->
                   let deadline_ms =
-                    match j.Runner.Proto.deadline_ms with Some _ as d -> d | None -> deadline
+                    match j.Cert.Proto.deadline_ms with Some _ as d -> d | None -> deadline
                   in
                   let priority =
-                    if j.Runner.Proto.priority <> Runner.Proto.default_priority then
-                      j.Runner.Proto.priority
-                    else Option.value priority ~default:j.Runner.Proto.priority
+                    if j.Cert.Proto.priority <> Cert.Proto.default_priority then
+                      j.Cert.Proto.priority
+                    else Option.value priority ~default:j.Cert.Proto.priority
                   in
-                  { j with Runner.Proto.deadline_ms; priority })
+                  { j with Cert.Proto.deadline_ms; priority })
                 jobs
             in
             let connect () =
@@ -1061,18 +1061,18 @@ let submit_cmd =
                    whole pipeline. *)
                 let spans = Hashtbl.create 16 in
                 List.iter
-                  (fun (j : Runner.Proto.job) ->
+                  (fun (j : Cert.Proto.job) ->
                     let h =
                       Obs.Trace.open_span
-                        ~args:[ ("id", Cert.Json.Str j.Runner.Proto.id) ]
+                        ~args:[ ("id", Cert.Json.Str j.Cert.Proto.id) ]
                         "request"
                     in
-                    Option.iter (fun h -> Hashtbl.replace spans j.Runner.Proto.id h) h;
+                    Option.iter (fun h -> Hashtbl.replace spans j.Cert.Proto.id h) h;
                     let trace =
                       Option.map (fun h -> Obs.Trace.ctx_to_string (Obs.Trace.handle_ctx h)) h
                     in
                     output_string oc
-                      (Runner.Proto.job_to_wire_json { j with Runner.Proto.trace });
+                      (Cert.Proto.job_to_wire_json { j with Cert.Proto.trace });
                     output_char oc '\n')
                   jobs;
                 flush oc;
@@ -1089,28 +1089,28 @@ let submit_cmd =
                           (Printf.sprintf "server closed the connection with %d replies outstanding"
                              n)
                     | line -> begin
-                        match Runner.Proto.reply_of_json line with
+                        match Cert.Proto.reply_of_json line with
                         | Error e -> Error (Printf.sprintf "bad reply line: %s" e)
                         | Ok r ->
-                            (match Hashtbl.find_opt spans r.Runner.Proto.id with
+                            (match Hashtbl.find_opt spans r.Cert.Proto.id with
                             | Some h ->
-                                Hashtbl.remove spans r.Runner.Proto.id;
+                                Hashtbl.remove spans r.Cert.Proto.id;
                                 Obs.Trace.close_span
                                   ~args:
                                     [
                                       ( "outcome",
                                         Cert.Json.Str
-                                          (Runner.Proto.verdict_name r.Runner.Proto.verdict) );
+                                          (Cert.Proto.verdict_name r.Cert.Proto.verdict) );
                                     ]
                                   h
                             | None -> ());
-                            (match r.Runner.Proto.verdict with
-                            | Runner.Proto.V_failed { kind; _ }
+                            (match r.Cert.Proto.verdict with
+                            | Cert.Proto.V_failed { kind; _ }
                               when List.mem kind submit_shed_kinds ->
                                 incr shed
-                            | Runner.Proto.V_failed _ -> incr failures
+                            | Cert.Proto.V_failed _ -> incr failures
                             | _ -> ());
-                            print_endline (Runner.Proto.reply_to_json r);
+                            print_endline (Cert.Proto.reply_to_json r);
                             read_n (n - 1)
                       end
                 in
@@ -1171,8 +1171,8 @@ let journal_inspect_line path (rep : Journal.report) =
      `compact' will refuse to drop history for. *)
   let certs, cert_valid =
     List.fold_left
-      (fun (present, valid) (_, _, (reply : Runner.Proto.reply)) ->
-        match reply.Runner.Proto.cert with
+      (fun (present, valid) (_, _, (reply : Cert.Proto.reply)) ->
+        match reply.Cert.Proto.cert with
         | None -> (present, valid)
         | Some _ ->
             ( present + 1,
@@ -1185,14 +1185,14 @@ let journal_inspect_line path (rep : Journal.report) =
          (String.concat "\n"
             (List.map
                (fun (id, digest, reply) ->
-                 Printf.sprintf "%s %s %s" id digest (Runner.Proto.reply_to_json reply))
+                 Printf.sprintf "%s %s %s" id digest (Cert.Proto.reply_to_json reply))
                live)))
   in
   let started =
     List.length
       (List.filter (function Journal.Started _ -> true | _ -> false) rep.Journal.entries)
   in
-  let module J = Runner.Proto.Json in
+  let module J = Cert.Json in
   J.to_string
     (J.Obj
        [
@@ -1282,7 +1282,7 @@ let journal_compact_cmd =
           match Journal.compact file with
           | Error e -> input_error "%s" e
           | Ok s ->
-              let module J = Runner.Proto.Json in
+              let module J = Cert.Json in
               print_endline
                 (J.to_string
                    (J.Obj
@@ -1329,7 +1329,7 @@ let read_replies path =
   |> String.split_on_char '\n'
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map (fun line ->
-         match Runner.Proto.reply_of_json line with
+         match Cert.Proto.reply_of_json line with
          | Ok r -> r
          | Error e ->
              prerr_endline (Printf.sprintf "rpq: chaos: bad reply line in %s: %s" path e);
@@ -1338,8 +1338,8 @@ let read_replies path =
 (* Volatile fields zeroed (trace contexts embed pids), so
    equal-modulo-time replies print identically and two chaos runs with
    the same seed diff byte-for-byte. *)
-let normalized_reply (r : Runner.Proto.reply) =
-  Runner.Proto.reply_to_json { r with Runner.Proto.wall_s = 0.0; stages = []; trace = None }
+let normalized_reply (r : Cert.Proto.reply) =
+  Cert.Proto.reply_to_json { r with Cert.Proto.wall_s = 0.0; stages = []; trace = None }
 
 (* Children inherit our environment minus any ambient fault, trace, or
    flight-recorder plan — the chaos schedule owns fault injection, and
@@ -1463,8 +1463,8 @@ let run_churn ~jobs ~kills ~seed ~net_period ~hedge_after ~(cfg : Runner.config)
     in
     go 0
   in
-  let send_job oc (j : Runner.Proto.job) =
-    output_string oc (Runner.Proto.job_to_json j);
+  let send_job oc (j : Cert.Proto.job) =
+    output_string oc (Cert.Proto.job_to_json j);
     output_char oc '\n';
     flush oc
   in
@@ -1472,20 +1472,20 @@ let run_churn ~jobs ~kills ~seed ~net_period ~hedge_after ~(cfg : Runner.config)
     match input_line ic with
     | exception End_of_file -> die "server closed a surviving client's connection"
     | line -> begin
-        match Runner.Proto.reply_of_json line with
+        match Cert.Proto.reply_of_json line with
         | Ok r -> r
         | Error e -> die "bad reply line from server: %s" e
       end
   in
-  let check_cert (r : Runner.Proto.reply) =
-    (match r.Runner.Proto.verdict with
-    | Runner.Proto.V_failed _ ->
-        die "job %S came back failed: %s" r.Runner.Proto.id (normalized_reply r)
-    | Runner.Proto.V_exact _ | Runner.Proto.V_bounded _ -> ());
+  let check_cert (r : Cert.Proto.reply) =
+    (match r.Cert.Proto.verdict with
+    | Cert.Proto.V_failed _ ->
+        die "job %S came back failed: %s" r.Cert.Proto.id (normalized_reply r)
+    | Cert.Proto.V_exact _ | Cert.Proto.V_bounded _ -> ());
     match Cert.Checker.check_reply r with
     | Ok () -> ()
     | Error msg ->
-        die "reply %S carries an invalid certificate: %s" r.Runner.Proto.id msg
+        die "reply %S carries an invalid certificate: %s" r.Cert.Proto.id msg
   in
   Printf.printf "chaos churn: seed %d, %d jobs, %d kills, net:partial_write:%d%s\n" seed njobs
     kills net_period
@@ -1594,7 +1594,7 @@ let run_churn ~jobs ~kills ~seed ~net_period ~hedge_after ~(cfg : Runner.config)
         cmp [] tb
     | (ida, dga, ra) :: ta, (idb, dgb, rb) :: tb ->
         if ida = idb then begin
-          if dga <> dgb || not (Runner.Proto.reply_equal_ignoring_time ra rb) then begin
+          if dga <> dgb || not (Cert.Proto.reply_equal_ignoring_time ra rb) then begin
             Printf.printf "diff %s:\n  reference %s\n  churned   %s\n" ida
               (normalized_reply rb) (normalized_reply ra);
             incr diffs
@@ -1760,19 +1760,19 @@ let chaos_cmd =
               match In_channel.with_open_text flight_file In_channel.input_all with
               | exception Sys_error _ -> die "crash left no flight dump at %s" flight_file
               | contents -> begin
-                  match Runner.Proto.Json.parse contents with
+                  match Cert.Json.parse contents with
                   | Error e -> die "crash left an unparseable flight dump: %s" e
                   | Ok v ->
-                      let get f conv = Option.bind (Runner.Proto.Json.member f v) conv in
-                      (match get "v" Runner.Proto.Json.to_int_opt with
+                      let get f conv = Option.bind (Cert.Json.member f v) conv in
+                      (match get "v" Cert.Json.to_int_opt with
                       | Some 1 -> ()
                       | _ -> die "flight dump lacks version 1");
-                      (match get "reason" Runner.Proto.Json.to_str_opt with
+                      (match get "reason" Cert.Json.to_str_opt with
                       | Some r when String.starts_with ~prefix:"crash:" r -> ()
                       | Some r -> die "flight dump has unexpected reason %S" r
                       | None -> die "flight dump lacks a reason");
-                      (match Runner.Proto.Json.member "events" v with
-                      | Some (Runner.Proto.Json.List _) -> ()
+                      (match Cert.Json.member "events" v with
+                      | Some (Cert.Json.List _) -> ()
                       | _ -> die "flight dump lacks an events array");
                       Sys.remove flight_file
                 end
@@ -1856,18 +1856,18 @@ let chaos_cmd =
               die "final resume emitted %d replies, reference %d" (List.length final)
                 (List.length reference);
             List.iter
-              (fun (r : Runner.Proto.reply) ->
+              (fun (r : Cert.Proto.reply) ->
                 match Cert.Checker.check_reply r with
                 | Ok () -> ()
                 | Error msg ->
-                    die "final reply %S carries an invalid certificate: %s" r.Runner.Proto.id msg)
+                    die "final reply %S carries an invalid certificate: %s" r.Cert.Proto.id msg)
               final;
             let diffs =
               List.fold_left2
-                (fun acc (r : Runner.Proto.reply) (f : Runner.Proto.reply) ->
-                  if Runner.Proto.reply_equal_ignoring_time r f then acc
+                (fun acc (r : Cert.Proto.reply) (f : Cert.Proto.reply) ->
+                  if Cert.Proto.reply_equal_ignoring_time r f then acc
                   else begin
-                    Printf.printf "diff %s:\n  reference %s\n  resumed   %s\n" r.Runner.Proto.id
+                    Printf.printf "diff %s:\n  reference %s\n  resumed   %s\n" r.Cert.Proto.id
                       (normalized_reply r) (normalized_reply f);
                     acc + 1
                   end)

@@ -156,7 +156,7 @@ val with_stages : (unit -> 'a) -> 'a * (string * float) list
 (** [with_stages f] enables stage accounting (independently of any sink)
     around [f] and returns its result with the per-stage totals in
     seconds, sorted by stage name. Used by the runner to fill the
-    [stages] block of a {!Runner.Proto.reply}. Nests: the previous table
+    [stages] block of a {!Cert.Proto.reply}. Nests: the previous table
     is saved and restored. *)
 
 (** {1 Lifecycle} *)

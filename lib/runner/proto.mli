@@ -3,7 +3,9 @@
     The implementation lives in {!Cert.Proto} (and {!Cert.Json}) inside
     the dependency-free [cert] library, so that [rpq_certcheck] can parse
     reply streams without linking any solver code. This module re-exports
-    it unchanged under the historical [Runner.Proto] name. *)
+    it unchanged under the historical [Runner.Proto] name; code in the
+    tree names [Cert.Proto] directly, and only the benchmark under
+    [perfbench/] still imports this alias. *)
 
 module Json = Cert.Json
 

@@ -4,7 +4,7 @@
    seeded faults. *)
 
 open Resilience
-module Json = Runner.Proto.Json
+module Json = Cert.Json
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 

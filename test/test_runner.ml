@@ -8,7 +8,7 @@
 
 open Resilience
 module Ser = Graphdb.Serialize
-module Proto = Runner.Proto
+module Proto = Cert.Proto
 module Journal = Runner.Journal
 module Cache = Runner.Cache
 
@@ -159,7 +159,10 @@ let prop_proto_job_roundtrip =
           trace = None;
         }
       in
-      Proto.job_of_json (Proto.job_to_json j) = Ok j)
+      (* Default priority, no deadline, no trace: the wire form adds
+         nothing, so socket clients may send the canonical line. *)
+      Proto.job_of_json (Proto.job_to_json j) = Ok j
+      && Proto.job_to_wire_json j = Proto.job_to_json j)
 
 (* ---- Journal ---- *)
 
