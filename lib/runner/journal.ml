@@ -15,19 +15,27 @@ let job_digest j = Digest.to_hex (Digest.string (job_to_json j))
    so resume stays strictly per-submission. *)
 let canonical_digest j = job_digest { j with id = "" }
 
+(* A [Done] payload is the rendering of
+   [{"event":"done","id":ID,"job":DIGEST,"reply":REPLY}] with the reply's
+   own [reply_to_json] line spliced in, so a reply already rendered for the
+   client is journaled without being encoded again. *)
+let done_to_json ~id ~digest reply_json =
+  String.concat ""
+    [
+      {|{"event":"done","id":|};
+      Json.to_string (Json.Str id);
+      {|,"job":|};
+      Json.to_string (Json.Str digest);
+      {|,"reply":|};
+      reply_json;
+      "}";
+    ]
+
 let entry_to_json = function
   | Started { id; digest } ->
       Json.to_string
         (Json.Obj [ ("event", Json.Str "start"); ("id", Json.Str id); ("job", Json.Str digest) ])
-  | Done { id; digest; reply } ->
-      Json.to_string
-        (Json.Obj
-           [
-             ("event", Json.Str "done");
-             ("id", Json.Str id);
-             ("job", Json.Str digest);
-             ("reply", reply_to_obj reply);
-           ])
+  | Done { id; digest; reply } -> done_to_json ~id ~digest (reply_to_json reply)
 
 let entry_of_json line =
   let ( let* ) = Result.bind in
@@ -479,15 +487,24 @@ let sync_point t ~settled =
     Obs.Metrics.observe fsync_s (Obs.Clock.now () -. t0)
   end
 
-let append t entry =
-  let t0 = Obs.Clock.now () in
+let append_payload t ~t0 ~settled payload =
   Resilience.Faults.crash_site "journal.pre_append";
   let seq = t.seq + 1 in
-  output_string t.oc (frame ~seq (entry_to_json entry));
+  output_string t.oc (frame ~seq payload);
   t.seq <- seq;
-  sync_point t ~settled:(match entry with Done _ -> true | Started _ -> false);
+  sync_point t ~settled;
   Resilience.Faults.crash_site "journal.post_append";
   Obs.Metrics.observe append_s (Obs.Clock.now () -. t0)
+
+let append t entry =
+  let t0 = Obs.Clock.now () in
+  append_payload t ~t0
+    ~settled:(match entry with Done _ -> true | Started _ -> false)
+    (entry_to_json entry)
+
+let append_done t ~id ~digest reply_json =
+  let t0 = Obs.Clock.now () in
+  append_payload t ~t0 ~settled:true (done_to_json ~id ~digest reply_json)
 
 let close t =
   flush t.oc;

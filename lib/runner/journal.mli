@@ -124,6 +124,13 @@ val append : t -> entry -> unit
     [journal.pre_fsync] and [journal.post_append] fire here (see
     {!Resilience.Faults.crash_site}). *)
 
+val append_done : t -> id:string -> digest:string -> string -> unit
+(** [append_done t ~id ~digest line] is [append t (Done {id; digest;
+    reply})] for the reply whose {!Proto.reply_to_json} rendering is
+    [line]: the same bytes, without encoding the reply a second time.
+    The serve loop renders each settled reply once and hands that line to
+    both the journal and the client. *)
+
 val close : t -> unit
 (** Flushes, releases the lock, closes. *)
 

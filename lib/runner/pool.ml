@@ -21,9 +21,26 @@ type death =
   | Wedged  (** overran the deadline AND survived SIGTERM through grace *)
   | Malformed of string  (** replied, but not with a parseable reply line *)
 
+(* [Unix] reports a signal by OCaml's own (negative) [Sys.sig*] code,
+   which is neither the POSIX number nor readable: name the ones OCaml
+   knows, and print any other as the system number it passes through. *)
+let signal_names =
+  Sys.
+    [
+      (sigabrt, "SIGABRT"); (sigalrm, "SIGALRM"); (sigbus, "SIGBUS"); (sigfpe, "SIGFPE");
+      (sighup, "SIGHUP"); (sigill, "SIGILL"); (sigint, "SIGINT"); (sigkill, "SIGKILL");
+      (sigpipe, "SIGPIPE"); (sigprof, "SIGPROF"); (sigquit, "SIGQUIT"); (sigsegv, "SIGSEGV");
+      (sigsys, "SIGSYS"); (sigterm, "SIGTERM"); (sigtrap, "SIGTRAP"); (sigusr1, "SIGUSR1");
+      (sigusr2, "SIGUSR2"); (sigvtalrm, "SIGVTALRM"); (sigxcpu, "SIGXCPU");
+      (sigxfsz, "SIGXFSZ");
+    ]
+
 let death_to_string = function
   | Exited c -> Printf.sprintf "worker exited with code %d" c
-  | Signaled s -> Printf.sprintf "worker killed by signal %d" s
+  | Signaled s -> (
+      match List.assoc_opt s signal_names with
+      | Some name -> "worker killed by " ^ name
+      | None -> Printf.sprintf "worker killed by signal %d" s)
   | Timed_out -> "worker timed out"
   | Wedged -> "worker wedged (survived SIGTERM; SIGKILLed)"
   | Malformed line ->

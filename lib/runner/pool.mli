@@ -30,6 +30,8 @@ type death =
           worker's reply line does not parse *)
 
 val death_to_string : death -> string
+(** One line for logs and failure replies. A signal OCaml knows is named
+    (["worker killed by SIGKILL"]); any other prints as its number. *)
 
 type config = {
   workers : int;  (** pool size, ≥ 1 *)

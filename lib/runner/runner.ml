@@ -1301,14 +1301,15 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
      knot with a forward reference. *)
   let tev_handler = ref (fun (_ : Transport.event) -> ()) in
   let handle_tevs evs = List.iter (fun ev -> !tev_handler ev) evs in
-  let deliver cid r =
+  let deliver_line cid line =
     match find_client cid with
     | None ->
         (* The client died while the job was inflight: the answer is
            settled, journaled and cached — only delivery is impossible. *)
         ()
-    | Some c -> handle_tevs (Transport.send tr c (reply_to_json r))
+    | Some c -> handle_tevs (Transport.send tr c line)
   in
+  let deliver cid r = deliver_line cid (reply_to_json r) in
   let emit r =
     match Hashtbl.find_opt owners r.id with
     | None -> ()
@@ -1319,11 +1320,12 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
         close_request ~outcome:(verdict_name r.verdict) rspan;
         let r = { r with id = orig } in
         let digest = Journal.canonical_digest j in
-        Option.iter
-          (fun jl -> Journal.append jl (Journal.Done { id = orig; digest; reply = r }))
-          jnl;
+        (* One rendering of the settled reply serves the journal and the
+           client. *)
+        let line = reply_to_json r in
+        Option.iter (fun jl -> Journal.append_done jl ~id:orig ~digest line) jnl;
         Cache.store cache ~digest r;
-        deliver cid r
+        deliver_line cid line
   in
   let on_dispatch (t : task) =
     match (jnl, Hashtbl.find_opt owners t.job.id) with
@@ -1476,7 +1478,8 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
     if String.trim line = "" then ()
     else if String.starts_with ~prefix:"GET " line then handle_http c line
     else
-      let send_reply r = handle_tevs (Transport.send tr c (reply_to_json r)) in
+      let send_line line = handle_tevs (Transport.send tr c line) in
+      let send_reply r = send_line (reply_to_json r) in
       match Json.parse line with
       | Ok v when is_stats_request v ->
           let id =
@@ -1548,11 +1551,9 @@ let serve_sockets ?stdio ?(preconnected = []) ?(preconnected_abrupt = []) scfg =
                 | Cache.Hit r ->
                     Trace.instant ~args:[ ("id", Json.Str job.id) ] "cache-hit";
                     close_request ~outcome:"cache-hit" rspan;
-                    Option.iter
-                      (fun jl ->
-                        Journal.append jl (Journal.Done { id = job.id; digest; reply = r }))
-                      jnl;
-                    send_reply r
+                    let line = reply_to_json r in
+                    Option.iter (fun jl -> Journal.append_done jl ~id:job.id ~digest line) jnl;
+                    send_line line
                 | Cache.Miss | Cache.Cert_reject _ ->
                     Hashtbl.replace owners iid (cid, job.id, job, rspan);
                     (* The end-to-end clock starts now: queue time below

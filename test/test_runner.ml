@@ -521,6 +521,77 @@ let test_journal_last_wins () =
   in
   check "last done wins" true (Hashtbl.find_opt (Journal.completed entries) "a" = Some ("d", r2))
 
+(* Record payloads of a v2 journal file, in order: each line after the
+   header is <len>:<crc>:<seq>:<payload>. *)
+let journal_payloads path =
+  match String.split_on_char '\n' (read_file path) with
+  | [] -> []
+  | _header :: lines ->
+      List.filter_map
+        (fun l ->
+          match String.split_on_char ':' l with
+          | _len :: _crc :: _seq :: rest -> Some (String.concat ":" rest)
+          | _ -> None)
+        lines
+
+(* The prefix of a [Done] payload up to the spliced reply line. *)
+let done_prefix ~id ~digest =
+  Printf.sprintf {|{"event":"done","id":%s,"job":%s,"reply":|}
+    (Cert.Json.to_string (Cert.Json.Str id))
+    (Cert.Json.to_string (Cert.Json.Str digest))
+
+let test_journal_done_splice () =
+  (* A [Done] payload is the reply's own line spliced into the record:
+     byte for byte the nested-object rendering, read back by
+     [entry_of_json], written identically by [append] and [append_done],
+     and rewritten unchanged by compaction. *)
+  let cut = Runner.run_job_locally (job ~id:"cut" ~query:"ax*b" ~db:"s a m\nm x n\nn b t\n" ()) in
+  let odd = "q\"\\\n\001\xff" in
+  let settled =
+    [
+      ("a", "d1", sample_reply);
+      ("cut", "d2", cut);
+      (odd, "d3", Proto.failed ~id:odd ~kind:"bad-job" "say \"%s\"" "\t");
+    ]
+  in
+  List.iter
+    (fun (id, digest, reply) ->
+      let payload = Journal.entry_to_json (Journal.Done { id; digest; reply }) in
+      let nested =
+        Cert.Json.to_string
+          (Cert.Json.Obj
+             [
+               ("event", Cert.Json.Str "done");
+               ("id", Cert.Json.Str id);
+               ("job", Cert.Json.Str digest);
+               ("reply", Proto.reply_to_obj reply);
+             ])
+      in
+      Alcotest.(check string) "splice = nested rendering" nested payload;
+      (* wall_s and stages are %.9g floats, so they read back rounded. *)
+      match Journal.entry_of_json payload with
+      | Ok (Journal.Done d) ->
+          check "entry_of_json reads the splice back" true
+            (d.id = id && d.digest = digest && Proto.reply_equal_ignoring_time d.reply reply)
+      | Ok (Journal.Started _) | Error _ -> Alcotest.failf "unreadable payload %S" payload)
+    settled;
+  with_temp (fun p1 ->
+      with_temp (fun p2 ->
+          write_journal p1
+            (List.map (fun (id, digest, reply) -> Journal.Done { id; digest; reply }) settled);
+          let j = open_exn ~sync:Journal.Never p2 in
+          List.iter
+            (fun (id, digest, reply) ->
+              Journal.append_done j ~id ~digest (Proto.reply_to_json reply))
+            settled;
+          Journal.close j;
+          let bytes = read_file p1 in
+          Alcotest.(check string) "append_done writes append's bytes" bytes (read_file p2);
+          (match Journal.compact p1 with
+          | Ok s -> check "nothing dropped" true (s.Journal.dropped = 0)
+          | Error e -> Alcotest.failf "compact: %s" e);
+          Alcotest.(check string) "compaction rewrites identical bytes" bytes (read_file p1)))
+
 let test_job_digest () =
   let j1 = job ~id:"x" ~steps:100 () in
   let j2 = job ~id:"x" ~steps:100 () in
@@ -658,6 +729,19 @@ let test_kill_every_tick_fails_structured () =
       check "kind is poison" true (failure_kind r = Some "poison");
       check "quarantined at K deaths" true (r.Proto.attempts = Runner.default_config.Runner.poison_k)
   | _ -> Alcotest.fail "expected one reply"
+
+let test_kill_names_the_signal () =
+  (* A worker that kills itself dies by SIGKILL, and the failure reply
+     says so by name rather than by OCaml's internal signal code. *)
+  let replies, _ = run_batch [ job ~id:"k1" ~db:hard_db ~steps:1000 ~faults:(Some "kill:1") () ] in
+  (match replies with
+  | [ { Proto.verdict = Proto.V_failed { message; _ }; _ } ] ->
+      check ("message names SIGKILL: " ^ message) true (contains message "SIGKILL")
+  | _ -> Alcotest.fail "expected one failure reply");
+  Alcotest.(check string) "SIGTERM by name" "worker killed by SIGTERM"
+    (Runner.Pool.death_to_string (Runner.Pool.Signaled Sys.sigterm));
+  Alcotest.(check string) "an unnamed signal by number" "worker killed by signal 40"
+    (Runner.Pool.death_to_string (Runner.Pool.Signaled 40))
 
 let test_poison_disabled_spends_retries () =
   (* poison_k = 0 disables quarantine: the same job burns every retry and
@@ -1275,8 +1359,7 @@ let test_cache_cert_reject () =
 (* Drive [serve_sockets] end-to-end over pre-connected socketpairs: each
    client pre-writes its job lines, half-closes, and reads replies back
    after the server returns. *)
-let run_serve_clients ?(encode = fun j -> Proto.job_to_json j) ~scfg
-    jobs_per_client =
+let run_serve_lines ?(encode = fun j -> Proto.job_to_json j) ~scfg jobs_per_client =
   let ends = List.map (fun _ -> Transport.pair ()) jobs_per_client in
   let chans = List.map (fun (_, fd) -> Transport.channels_of_fd fd) ends in
   List.iter2
@@ -1287,20 +1370,19 @@ let run_serve_clients ?(encode = fun j -> Proto.job_to_json j) ~scfg
   Runner.serve_sockets ~preconnected:(List.map fst ends) scfg;
   List.map
     (fun (ic, oc) ->
-      let rec rd acc =
-        match input_line ic with
-        | line -> begin
-            match Proto.reply_of_json line with
-            | Ok r -> rd (r :: acc)
-            | Error e -> Alcotest.failf "unparseable serve reply %S: %s" line e
-          end
-        | exception End_of_file -> List.rev acc
-      in
-      let rs = rd [] in
+      let lines = In_channel.input_lines ic in
       close_in ic;
       close_out_noerr oc;
-      rs)
+      lines)
     chans
+
+let run_serve_clients ?encode ~scfg jobs_per_client =
+  List.map
+    (List.map (fun line ->
+         match Proto.reply_of_json line with
+         | Ok r -> r
+         | Error e -> Alcotest.failf "unparseable serve reply %S: %s" line e))
+    (run_serve_lines ?encode ~scfg jobs_per_client)
 
 let test_serve_two_clients () =
   no_faults @@ fun () ->
@@ -1363,6 +1445,38 @@ let test_serve_journal_seed_and_release () =
           check "journaled settlement verifies (last wins over the forgery)" true
             (Runner.verify_reply r)
       | None -> Alcotest.fail "t1 not settled in the serve journal")
+
+let test_serve_reply_is_journaled_bytes () =
+  no_faults @@ fun () ->
+  (* The serve loop renders a settled reply once: the line the client
+     receives is, byte for byte, the reply spliced into the job's [Done]
+     record — on a miss, and on a cache hit (the second run seeds its
+     cache from the first run's journal). *)
+  with_temp (fun jpath ->
+      Sys.remove jpath;
+      let scfg =
+        { Runner.default_serve_config with Runner.base = quick_cfg; serve_journal = Some jpath }
+      in
+      let served id =
+        let j = job ~id ~query:"ax*b" ~db:"s a m\nm x n\nn b t\ns a t\n" () in
+        match run_serve_lines ~scfg [ [ j ] ] with
+        | [ [ line ] ] ->
+            let record = done_prefix ~id ~digest:(Journal.canonical_digest j) ^ line ^ "}" in
+            check (id ^ ": client line is the journaled reply") true
+              (List.mem record (journal_payloads jpath));
+            line
+        | _ -> Alcotest.failf "%s: expected exactly one reply line" id
+      in
+      let hits0 = counter_count "cache.hits" in
+      let miss = served "miss" in
+      check "first run is a miss" true (counter_count "cache.hits" = hits0);
+      let hit = served "hit" in
+      check "second run is a cache hit" true (counter_count "cache.hits" = hits0 + 1);
+      match (Proto.reply_of_json miss, Proto.reply_of_json hit) with
+      | Ok m, Ok h ->
+          check "the hit serves the journaled answer" true
+            (Proto.reply_equal_ignoring_time { m with Proto.id = "hit" } h)
+      | _ -> Alcotest.fail "served lines must parse")
 
 (* ---- telemetry: cross-process traces ---- *)
 
@@ -1483,6 +1597,7 @@ let () =
           Alcotest.test_case "job digest" `Quick test_job_digest;
           Alcotest.test_case "digest excludes delivery fields" `Quick
             test_digest_excludes_deadline_priority;
+          Alcotest.test_case "done splices the reply line" `Quick test_journal_done_splice;
         ] );
       ( "policy",
         [
@@ -1502,6 +1617,7 @@ let () =
           Alcotest.test_case "hedged equals unhedged" `Quick test_hedged_unhedged_parity;
           Alcotest.test_case "queued deadline sheds" `Quick test_deadline_queue_shed;
           Alcotest.test_case "deadline clamps the budget" `Quick test_deadline_clamps_budget;
+          Alcotest.test_case "worker death names the signal" `Quick test_kill_names_the_signal;
         ] );
       ( "recovery",
         [
@@ -1523,6 +1639,8 @@ let () =
           Alcotest.test_case "backpressure gates input" `Quick test_transport_backpressure;
           Alcotest.test_case "two clients, namespaced ids" `Quick test_serve_two_clients;
           Alcotest.test_case "journal seed + lock release" `Quick test_serve_journal_seed_and_release;
+          Alcotest.test_case "client line = journaled reply" `Quick
+            test_serve_reply_is_journaled_bytes;
         ] );
       ( "trace",
         [
